@@ -103,9 +103,9 @@ BENCHMARK(BM_UnitDecodeWithErasures);
 void
 BM_BandedLevenshtein(benchmark::State &state)
 {
-    // Read-vs-read distance at clustering's operating point: 150-base
-    // reads a few edits apart, band 8 — one edit_row kernel call per
-    // DP row.
+    // The clusterer's accepting call: 150-base reads three edits
+    // apart against threshold 8, so the diagonal transition stops
+    // at its pass for three edits.
     Rng rng(8);
     dna::Sequence a = randomSeq(rng, 150);
     std::string mutated = a.str();
@@ -117,6 +117,22 @@ BM_BandedLevenshtein(benchmark::State &state)
         benchmark::DoNotOptimize(dna::bandedLevenshtein(a, b, 8));
 }
 BENCHMARK(BM_BandedLevenshtein);
+
+void
+BM_BandedLevenshteinMiss(benchmark::State &state)
+{
+    // The clusterer's rejecting call, most of its distance tests: a
+    // candidate from another molecule shares only the 31-base prefix
+    // (primer, sync base, index), so every pass up to the threshold
+    // runs before the answer is "farther than 8".
+    Rng rng(10);
+    dna::Sequence prefix = randomSeq(rng, 31);
+    dna::Sequence a = prefix + randomSeq(rng, 119);
+    dna::Sequence b = prefix + randomSeq(rng, 119);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dna::bandedLevenshtein(a, b, 8));
+}
+BENCHMARK(BM_BandedLevenshteinMiss);
 
 void
 BM_AlignPrimerToPrefix(benchmark::State &state)

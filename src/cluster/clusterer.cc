@@ -71,13 +71,14 @@ OnlineClusterer::assignWithSignatures(const dna::Sequence &read,
     const size_t r = reads_.size();
     reads_.push_back(read);
 
-    candidates_.clear();
-    // Gather up to max_candidates candidates — a cap across all
-    // bands, not per band. The bands are drained round-robin
-    // (entry i of every band's bucket before entry i + 1 of any)
-    // so that one hot bucket cannot starve the other bands'
-    // entries out of the capped budget: a cluster that is only
-    // reachable through a sparser band stays reachable.
+    // Test up to max_candidates distinct candidates — a cap across
+    // all bands, not per band — and join the first within the
+    // threshold. The bands are drained round-robin (entry i of every
+    // band's bucket before entry i + 1 of any) so that one hot bucket
+    // cannot starve the other bands' entries out of the capped
+    // budget: a cluster that is only reachable through a sparser
+    // band stays reachable. Each candidate is tested as the gather
+    // reaches it, so the rest are never gathered after a hit.
     size_t depth = 0;
     for (size_t b = 0; b < bands; ++b) {
         auto it = buckets_[b].find(signature[b]);
@@ -86,31 +87,28 @@ OnlineClusterer::assignWithSignatures(const dna::Sequence &read,
         if (band_order_[b])
             depth = std::max(depth, band_order_[b]->size());
     }
-    for (size_t i = 0;
-         i < depth && candidates_.size() < params_.max_candidates;
+    size_t assigned = SIZE_MAX;
+    size_t tested = 0;
+    for (size_t i = 0; i < depth && assigned == SIZE_MAX &&
+                       tested < params_.max_candidates;
          ++i) {
         for (size_t b = 0; b < bands; ++b) {
             if (!band_order_[b] || i >= band_order_[b]->size())
                 continue;
             size_t cluster_idx = (*band_order_[b])[i];
-            if (candidate_stamp_[cluster_idx] != r + 1) {
-                candidate_stamp_[cluster_idx] = r + 1;
-                candidates_.push_back(cluster_idx);
-                if (candidates_.size() >= params_.max_candidates)
-                    break;
+            if (candidate_stamp_[cluster_idx] == r + 1)
+                continue;
+            candidate_stamp_[cluster_idx] = r + 1;
+            const dna::Sequence &rep =
+                reads_[clusters_[cluster_idx].representative];
+            if (dna::bandedLevenshtein(read, rep,
+                                       params_.distance_threshold) !=
+                dna::kDistanceInfinity) {
+                assigned = cluster_idx;
+                break;
             }
-        }
-    }
-
-    size_t assigned = SIZE_MAX;
-    for (size_t cluster_idx : candidates_) {
-        const dna::Sequence &rep =
-            reads_[clusters_[cluster_idx].representative];
-        if (dna::bandedLevenshtein(read, rep,
-                                   params_.distance_threshold) !=
-            dna::kDistanceInfinity) {
-            assigned = cluster_idx;
-            break;
+            if (++tested >= params_.max_candidates)
+                break;
         }
     }
 
@@ -149,7 +147,7 @@ OnlineClusterer::assignBatch(const std::vector<dna::Sequence> &reads,
     // pass defines the clustering (each read joins the first
     // candidate within the distance threshold, in bucket order) and
     // therefore stays single-threaded; with precomputed signatures
-    // it is pure hash lookups plus the banded alignments.
+    // it is pure hash lookups plus the distance tests.
     std::vector<size_t> assigned(reads.size());
     for (size_t r = 0; r < reads.size(); ++r) {
         // .data() arithmetic, not operator[]: with zero bands the

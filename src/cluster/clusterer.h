@@ -78,8 +78,8 @@ struct ClustererParams
  * calls, the final cluster state is identical to clustering the
  * concatenated sequence in one shot.
  *
- * The clusterer owns a copy of every read it has seen (the banded
- * alignments against cluster representatives, and the consensus
+ * The clusterer owns a copy of every read it has seen (the distance
+ * tests against cluster representatives, and the consensus
  * stage downstream, need the bases again later), so callers may hand
  * in transient chunks.
  */
@@ -156,7 +156,6 @@ class OnlineClusterer
     std::vector<size_t> candidate_stamp_;
 
     /** Scratch reused across assigns (no per-read allocation). */
-    std::vector<size_t> candidates_;
     std::vector<const std::vector<size_t> *> band_order_;
     std::vector<uint64_t> signature_scratch_;
 };

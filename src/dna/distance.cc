@@ -1,7 +1,11 @@
 #include "dna/distance.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/arena.h"
@@ -46,6 +50,34 @@ infRow(Arena &arena, size_t n)
     uint16_t *row = arena.allocArray<uint16_t>(lanes);
     std::memset(row, 0xFF, lanes * sizeof(uint16_t));
     return row;
+}
+
+/**
+ * Advance row @p i along diagonal @p k (a[i] against b[i + k]) while
+ * the bases match, stopping at @p end = min(|a|, |b| - k). Compares
+ * eight bases per step: the first set bit of the XOR of two words
+ * locates the first mismatch.
+ */
+ptrdiff_t
+slideDiagonal(const char *a, const char *b, ptrdiff_t i, ptrdiff_t k,
+              ptrdiff_t end)
+{
+    for (; i + 8 <= end; i += 8) {
+        uint64_t wa = 0;
+        uint64_t wb = 0;
+        std::memcpy(&wa, a + i, 8);
+        std::memcpy(&wb, b + i + k, 8);
+        const uint64_t diff = wa ^ wb;
+        if (diff != 0) {
+            const int bit = std::endian::native == std::endian::little
+                                ? std::countr_zero(diff)
+                                : std::countl_zero(diff);
+            return i + bit / 8;
+        }
+    }
+    while (i < end && a[i] == b[i + k])
+        ++i;
+    return i;
 }
 
 } // namespace
@@ -94,59 +126,60 @@ bandedLevenshtein(const Sequence &a, const Sequence &b, size_t max_dist)
 {
     const std::string &sa = a.str();
     const std::string &sb = b.str();
-    const size_t m = sa.size();
-    const size_t n = sb.size();
-    size_t len_diff = m > n ? m - n : n - m;
-    if (len_diff > max_dist)
+    const ptrdiff_t m = static_cast<ptrdiff_t>(sa.size());
+    const ptrdiff_t n = static_cast<ptrdiff_t>(sb.size());
+    // The alignment ends on diagonal n - m, at least |n - m| edits out.
+    const ptrdiff_t target = n - m;
+    if (static_cast<size_t>(std::abs(target)) > max_dist)
         return kDistanceInfinity;
-    if (m == 0 || n == 0) {
-        // One side empty: the distance is the other side's length.
-        // The band loop below cannot represent the n == 0 case (its
-        // columns start at 1), and the seed implementation wrongly
-        // reported infinity for it.
-        return len_diff;
-    }
-    if (!fitsU16(m, n, max_dist)) {
-        // Oversized inputs: the band covers cells the uint16 lanes
-        // could saturate, so compute the exact distance directly.
-        size_t d = levenshteinDistance(a, b);
-        return d <= max_dist ? d : kDistanceInfinity;
-    }
+    // The distance never exceeds the longer length, so a larger
+    // budget cannot change the answer; capping it bounds the arrays.
+    const ptrdiff_t max_e = static_cast<ptrdiff_t>(
+        std::min(max_dist, std::max(sa.size(), sb.size())));
 
-    // Rows over sa, band of half-width max_dist around the diagonal;
-    // each row is one SIMD kernel call over uint16 lanes, with the
-    // kernel's saturating min-reduction feeding the early-exit test.
+    // Diagonal transition (Ukkonen 1985; Landau & Vishkin 1989).
+    // Diagonal k holds the cells (i, i + k). After pass e, row[k] is
+    // the furthest i with distance(sa[0, i), sb[0, i + k)) <= e: one
+    // edit from a neighbour's pass-(e-1) reach, then a free slide
+    // over matching bases. Pass e visits diagonals [-e, e], clipped
+    // to the matrix and to the diagonals that can still reach the
+    // target diagonal within the remaining budget. That window
+    // only narrows by one per pass, so each neighbour read just
+    // outside it still holds its pass-(e-1) value, and cells never
+    // visited — including the guard diagonals -max_e-1 and
+    // max_e+1 — stay kUnreached. row[0] starts at -1 so pass 0's
+    // "substitution" lands on row 0.
+    constexpr ptrdiff_t kUnreached =
+        std::numeric_limits<ptrdiff_t>::min() / 2;
     Arena &arena = Arena::scratch();
     ArenaScope scope(arena);
-    const uint8_t *bb = paddedBytes(arena, sb);
-    uint16_t *prev = infRow(arena, n);
-    uint16_t *curr = infRow(arena, n);
-    for (size_t j = 0; j <= std::min(n, max_dist); ++j)
-        prev[j] = static_cast<uint16_t>(j);
-    const simd::Kernels &kernels = simd::kernels();
-    for (size_t i = 1; i <= m; ++i) {
-        size_t lo = i > max_dist ? i - max_dist : 1;
-        size_t hi = std::min(n, i + max_dist);
-        if (lo > hi)
-            return kDistanceInfinity;
-        // Column lo-1 sits at (or left of) the band edge: when the
-        // band still touches column 0 it holds the leading-deletion
-        // cost i, otherwise it is "infinity". It seeds the row
-        // minimum explicitly — the historical seed-from-curr[0]
-        // behaviour, now spelled out (and pinned by the exhaustive
-        // differential test in distance_test).
-        uint16_t edge = (lo == 1 && i <= max_dist)
-                            ? static_cast<uint16_t>(i)
-                            : kInf16;
-        curr[lo - 1] = edge;
-        uint16_t row_min = kernels.edit_row(
-            bb, static_cast<uint8_t>(sa[i - 1]), prev, curr, lo, hi,
-            edge);
-        if (std::min(row_min, edge) > max_dist)
-            return kDistanceInfinity;
-        std::swap(prev, curr);
+    ptrdiff_t *row =
+        arena.allocArray<ptrdiff_t>(2 * max_e + 3) + max_e + 1;
+    std::fill(row - max_e - 1, row + max_e + 2, kUnreached);
+    row[0] = -1;
+    for (ptrdiff_t e = 0; e <= max_e; ++e) {
+        const ptrdiff_t slack = max_e - e;
+        const ptrdiff_t k_lo = std::max({-e, -m, target - slack});
+        const ptrdiff_t k_hi = std::min({e, n, target + slack});
+        // row[k - 1] is overwritten before diagonal k reads it, so
+        // carry its pass-(e-1) value along.
+        ptrdiff_t left = row[k_lo - 1];
+        for (ptrdiff_t k = k_lo; k <= k_hi; ++k) {
+            const ptrdiff_t up = row[k];
+            const ptrdiff_t end = std::min(m, n - k);
+            // Substitution, insertion (from k - 1), deletion (from
+            // k + 1); the clamp is exact because adjacent cells
+            // differ by at most one.
+            ptrdiff_t i = std::min(
+                std::max({up + 1, left, row[k + 1] + 1}), end);
+            i = slideDiagonal(sa.data(), sb.data(), i, k, end);
+            left = up;
+            row[k] = i;
+            if (k == target && i == m)
+                return static_cast<size_t>(e);
+        }
     }
-    return prev[n] <= max_dist ? prev[n] : kDistanceInfinity;
+    return kDistanceInfinity;
 }
 
 size_t

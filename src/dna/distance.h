@@ -5,9 +5,9 @@
  * Hamming distance governs primer-library compatibility; Levenshtein
  * (edit) distance governs read clustering and mispriming (reads that
  * promiscuously amplify are 2-3 edit distance from the target index,
- * paper Section 8.1). The banded variant keeps clustering cheap, and
- * the prefix-alignment variant models how well a PCR primer anneals to
- * the 5' end of a template.
+ * paper Section 8.1). The thresholded variant keeps clustering cheap,
+ * and the prefix-alignment variant models how well a PCR primer anneals
+ * to the 5' end of a template.
  */
 
 #ifndef DNASTORE_DNA_DISTANCE_H
@@ -35,8 +35,12 @@ size_t hammingDistance(const Sequence &a, const Sequence &b);
 size_t levenshteinDistance(const Sequence &a, const Sequence &b);
 
 /**
- * Banded Levenshtein distance: exact value if it is <= @p max_dist,
- * kDistanceInfinity otherwise. O(max_dist * max(len)) time.
+ * Threshold Levenshtein distance: exact value if it is <= @p max_dist,
+ * kDistanceInfinity otherwise. Computed by diagonal transition, which
+ * walks matching bases eight at a time: O(max_dist^2 + len / 8) word
+ * steps on near-identical inputs such as the reads clustering
+ * compares, O(max_dist * max(len)) in the worst case. Scalar code,
+ * the same on every ISA.
  */
 size_t bandedLevenshtein(const Sequence &a, const Sequence &b,
                          size_t max_dist);

@@ -4,6 +4,7 @@
  */
 
 #include <array>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -226,6 +227,42 @@ TEST(ClustererTest, CandidateCapHoldsAcrossBands)
     ASSERT_EQ(clusters.size(), 3u);
     for (const Cluster &cluster : clusters)
         EXPECT_EQ(cluster.size(), 1u);
+}
+
+/**
+ * A read within the threshold of two clusters joins the one its
+ * candidates reach first. With q = 1 every read holding all four
+ * bases lands in the same bucket of every band, so each band lists
+ * the clusters in founding order and the first candidate is the
+ * older cluster. P and Q sit 10 substitutions apart (two clusters);
+ * X takes 5 of those substitutions, so it is within 8 of both.
+ */
+TEST(ClustererTest, ReadJoinsFirstFoundedOfTwoInRangeClusters)
+{
+    dnastore::Rng rng(12);
+    const dna::Sequence p = randomSeq(rng, 150);
+    std::string q_bases = p.str();
+    std::string x_bases = p.str();
+    for (size_t k = 0; k < 10; ++k) {
+        const size_t pos = 10 + 13 * k;
+        q_bases[pos] = q_bases[pos] == 'A' ? 'C' : 'A';
+        if (k < 5)
+            x_bases[pos] = q_bases[pos];
+    }
+    const dna::Sequence q(q_bases);
+    const dna::Sequence x(x_bases);
+
+    ClustererParams params;
+    params.qgram = 1;
+    params.distance_threshold = 8;
+    for (bool p_first : {true, false}) {
+        OnlineClusterer clusterer(params);
+        const size_t first = clusterer.assign(p_first ? p : q);
+        const size_t second = clusterer.assign(p_first ? q : p);
+        ASSERT_NE(first, second) << "P and Q must found two clusters";
+        EXPECT_EQ(clusterer.assign(x), first)
+            << (p_first ? "P" : "Q") << " was founded first";
+    }
 }
 
 /**

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/arena.h"
+#include "common/thread_pool.h"
 #include "core/decoder.h"
 #include "sim/pcr.h"
 #include "sim/synthesis.h"
@@ -176,13 +177,17 @@ TEST_F(DecoderTest, SteadyStateDecodePerformsNoArenaGrowth)
     // First decode warms every worker arena to its high-water mark;
     // after that, a whole decode pass over the same reads must not
     // allocate a single new arena chunk — the per-read scratch all
-    // comes from rewound arena memory.
+    // comes from rewound arena memory. Arenas are thread-local, so
+    // the claim holds for a long-lived pool whose workers outlive
+    // both decodes; the pool-per-call overload starts fresh workers,
+    // and fresh arenas, on every call.
     DecoderParams params;
     Decoder decoder(*partition_, params);
+    ThreadPool pool(4);
     auto reads = sequenceWholePool(20 * 15 * 12);
-    decoder.decodeAll(reads);
+    decoder.decodeAll(reads, nullptr, pool);
     const ArenaGlobalStats warm = Arena::globalStats();
-    auto units = decoder.decodeAll(reads);
+    auto units = decoder.decodeAll(reads, nullptr, pool);
     const ArenaGlobalStats steady = Arena::globalStats();
     EXPECT_EQ(steady.chunks_allocated, warm.chunks_allocated);
     EXPECT_EQ(steady.bytes_reserved, warm.bytes_reserved);

@@ -143,6 +143,121 @@ TEST(BandedLevenshteinTest, RandomizedDifferentialLongerStrings)
     }
 }
 
+/** Each max_dist the operating-point tests run at: exact-match only,
+ *  one edit, the clusterer's threshold, and a wide band. */
+constexpr size_t kOperatingBands[] = {0, 1, 8, 40};
+
+enum class Edit { kSubstitute, kInsert, kDelete };
+
+/** @p s with one @p kind edit at @p pos (an insertion goes before
+ *  s[pos]; a substitution always changes the base). */
+std::string
+editAt(Rng &rng, std::string s, size_t pos, Edit kind)
+{
+    const char kBases[] = "ACGT";
+    char base = kBases[rng.nextBelow(4)];
+    switch (kind) {
+    case Edit::kSubstitute:
+        while (base == s[pos])
+            base = kBases[rng.nextBelow(4)];
+        s[pos] = base;
+        break;
+    case Edit::kInsert:
+        s.insert(pos, 1, base);
+        break;
+    case Edit::kDelete:
+        s.erase(pos, 1);
+        break;
+    }
+    return s;
+}
+
+void
+expectMatchesFull(const std::string &a, const std::string &b,
+                  size_t max_dist)
+{
+    const size_t full = levenshteinDistance(Sequence(a), Sequence(b));
+    const size_t want = full <= max_dist ? full : kDistanceInfinity;
+    EXPECT_EQ(bandedLevenshtein(Sequence(a), Sequence(b), max_dist), want)
+        << "a=" << a << " b=" << b << " max_dist=" << max_dist;
+}
+
+// The clusterer compares 150-base reads a few edits apart, where the
+// diagonals slide over long runs of equal 8-byte words. Pairs carry 0
+// to max_dist + 2 random edits, straddling the accept boundary.
+TEST(BandedLevenshteinTest, RandomEditsOnReadLengthPairs)
+{
+    Rng rng(150);
+    for (size_t max_dist : kOperatingBands) {
+        for (size_t edits = 0; edits <= max_dist + 2; ++edits) {
+            for (int trial = 0; trial < 12; ++trial) {
+                const std::string a = randomSeq(rng, 150).str();
+                std::string b = a;
+                for (size_t k = 0; k < edits; ++k) {
+                    const auto kind = static_cast<Edit>(rng.nextBelow(3));
+                    b = editAt(rng, b, rng.nextBelow(b.size()), kind);
+                }
+                expectMatchesFull(a, b, max_dist);
+                expectMatchesFull(b, a, max_dist);
+            }
+        }
+    }
+}
+
+// Edits on and beside 8-byte word boundaries, and in the last word,
+// where the word-at-a-time slide hands over to the byte tail. Every
+// pair of offsets is also combined, so a diagonal resumes sliding
+// after its first mismatch.
+TEST(BandedLevenshteinTest, EditsAtWordBoundaries)
+{
+    Rng rng(8);
+    const std::string a = randomSeq(rng, 150).str();
+    const std::vector<size_t> offsets = {0,   7,   8,   9,   15,  16,  142,
+                                         143, 144, 145, 146, 147, 148, 149};
+    const Edit kinds[] = {Edit::kSubstitute, Edit::kInsert, Edit::kDelete};
+    for (size_t first : offsets) {
+        for (Edit kind : kinds) {
+            const std::string one = editAt(rng, a, first, kind);
+            for (size_t max_dist : kOperatingBands)
+                expectMatchesFull(a, one, max_dist);
+            for (size_t second : offsets) {
+                if (second >= first || second >= one.size())
+                    continue;
+                const std::string two = editAt(rng, one, second, kind);
+                for (size_t max_dist : kOperatingBands)
+                    expectMatchesFull(a, two, max_dist);
+            }
+        }
+    }
+}
+
+// A length gap of exactly max_dist is still answerable; one more is
+// rejected before any diagonal is walked.
+TEST(BandedLevenshteinTest, LengthGapAtBound)
+{
+    Rng rng(31);
+    for (size_t max_dist : kOperatingBands) {
+        const std::string a = randomSeq(rng, 150).str();
+        for (size_t gap : {max_dist, max_dist + 1}) {
+            std::string shorter = a;
+            for (size_t k = 0; k < gap; ++k) {
+                shorter = editAt(rng, shorter, rng.nextBelow(shorter.size()),
+                                 Edit::kDelete);
+            }
+            const std::string longer = a + randomSeq(rng, gap).str();
+            for (const std::string &b : {shorter, longer}) {
+                expectMatchesFull(a, b, max_dist);
+                expectMatchesFull(b, a, max_dist);
+                const size_t want =
+                    gap == max_dist ? gap : kDistanceInfinity;
+                EXPECT_EQ(bandedLevenshtein(Sequence(a), Sequence(b),
+                                            max_dist),
+                          want);
+            }
+        }
+    }
+}
+
 TEST(LcpTest, Basics)
 {
     EXPECT_EQ(longestCommonPrefix(Sequence("ACGT"), Sequence("ACGA")),
