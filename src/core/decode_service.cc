@@ -26,6 +26,26 @@ elapsedUs(uint64_t from_us, uint64_t to_us)
  *  last ulp of the accumulation. */
 constexpr double kTokenEpsilon = 1e-9;
 
+/** The "outcome" attribute a resolved request or chunk's root span
+ *  carries. */
+const char *
+outcomeName(DecodeStatus status)
+{
+    switch (status) {
+      case DecodeStatus::Ok:
+        return "ok";
+      case DecodeStatus::Overloaded:
+        return "overloaded";
+      case DecodeStatus::Throttled:
+        return "throttled";
+      case DecodeStatus::Skipped:
+        return "skipped";
+      case DecodeStatus::Partial:
+        return "partial";
+    }
+    return "unknown";
+}
+
 } // namespace
 
 /**
@@ -47,6 +67,10 @@ struct DecodeStream::State
     /** Set once the reads-at-completion histogram was fed, so a
      *  stream observes exactly one sample (dispatcher-thread only). */
     bool completion_observed = false;
+
+    /** Expected units still unrecovered when the finish marker ran,
+     *  for the "stream" root span (dispatcher-thread only). */
+    size_t units_missing = 0;
 
     /** Guards the promise/future maps shared between caller threads
      *  and the dispatcher. Ranks below the service mutex: a chunk's
@@ -371,12 +395,10 @@ DecodeService::fitsLocked(const TenantState &state, size_t n) const
     return true;
 }
 
-DecodeService::Verdict
-DecodeService::admitBatch(Batch &pending, size_t n,
-                          telemetry::Counter **tenant_rejected,
-                          telemetry::Counter **tenant_throttled,
-                          bool *ticketed)
+bool
+DecodeService::admitOrShed(Batch &pending)
 {
+    const size_t n = pending.items.size();
     sync::MutexLock lock(mutex_);
     fatalIf(!accepting_, "DecodeService: submission after shutdown");
     const TenantId tenant = pending.tenant;
@@ -384,16 +406,15 @@ DecodeService::admitBatch(Batch &pending, size_t n,
     // its own weight — for the admission span.
     const uint64_t entry_depth = in_flight_;
     uint64_t ticket_wait_us = 0;
+    bool ticketed = false;
     TenantState &state = tenantStateLocked(lock, tenant);
-    *tenant_rejected = state.rejected;
-    *tenant_throttled = state.throttled;
     pending.dispatched = state.dispatched;
     pending.queue_latency = state.queue_latency;
 
     // A finish marker is a control message, not work: it carries no
     // reads and must always reach the session (its unit futures
     // resolve there), so it bypasses the rate and capacity checks.
-    const bool exempt = pending.stream && pending.stream_finish;
+    const bool exempt = n == 1 && pending.items[0].stream_finish;
 
     if (!exempt && params_.max_queue_depth > 0) {
         fatalIf(n > params_.max_queue_depth,
@@ -408,33 +429,38 @@ DecodeService::admitBatch(Batch &pending, size_t n,
                 "'s queue-depth cap of ", tenant_cap);
     }
 
-    Verdict verdict = Verdict::Admitted;
+    // Ok = admitted; otherwise the status every shed future gets.
+    DecodeStatus verdict = DecodeStatus::Ok;
+    telemetry::Counter *tenant_shed = nullptr;
 
     // Token bucket first: the rate contract is independent of how
     // full the queue happens to be, and never blocks.
     if (!exempt && state.params.bucketEnabled()) {
         refillBucketLocked(state);
         if (state.tokens + kTokenEpsilon < static_cast<double>(n)) {
-            verdict = Verdict::Throttled;
+            verdict = DecodeStatus::Throttled;
+            tenant_shed = state.throttled;
         } else {
             state.tokens -= static_cast<double>(n);
         }
     }
 
-    if (!exempt && verdict == Verdict::Admitted) {
+    if (!exempt && verdict == DecodeStatus::Ok) {
         // Join the ticket line when the queue is full OR other
         // submitters are already parked — barging past them would
         // undo the FIFO admission order.
         if (!fitsLocked(state, n) ||
             next_ticket_ != serving_ticket_) {
             if (params_.overflow == OverflowPolicy::Reject) {
-                if (!fitsLocked(state, n))
-                    verdict = Verdict::Rejected;
+                if (!fitsLocked(state, n)) {
+                    verdict = DecodeStatus::Overloaded;
+                    tenant_shed = state.rejected;
+                }
                 // A Reject-policy service never parks submitters,
                 // so the line is empty and a fitting batch admits.
             } else {
                 const uint64_t ticket = next_ticket_++;
-                *ticketed = true;
+                ticketed = true;
                 const uint64_t wait_start_us = nowUs();
                 while (accepting_ &&
                        !(ticket == serving_ticket_ &&
@@ -451,7 +477,7 @@ DecodeService::admitBatch(Batch &pending, size_t n,
             }
         }
     }
-    if (verdict == Verdict::Admitted) {
+    if (verdict == DecodeStatus::Ok) {
         // Emit the admission spans before the batch is surrendered to
         // the queue (a dispatcher may take it the moment the lock
         // drops). Span pushes rank kTraceBuffer, far below mutex_, so
@@ -464,15 +490,6 @@ DecodeService::admitBatch(Batch &pending, size_t n,
                 continue;
             telemetry::SpanHandle span =
                 item.ctx.spanAt("admission", item.enqueued_us);
-            span.attr("outcome", "admitted");
-            span.attrU64("queue_depth_entry", entry_depth);
-            span.attrU64("ticket_wait_us", ticket_wait_us);
-            span.endAt(admitted_us);
-        }
-        pending.admitted_us = admitted_us;
-        if (pending.stream && pending.ctx.active()) {
-            telemetry::SpanHandle span =
-                pending.ctx.spanAt("admission", pending.enqueued_us);
             span.attr("outcome", "admitted");
             span.attrU64("queue_depth_entry", entry_depth);
             span.attrU64("ticket_wait_us", ticket_wait_us);
@@ -491,7 +508,50 @@ DecodeService::admitBatch(Batch &pending, size_t n,
         if (state.admitted)
             state.admitted->increment(n);
     }
-    return verdict;
+    lock.unlock();
+
+    if (verdict != DecodeStatus::Ok) {
+        // Shed: resolve every future with a typed outcome rather
+        // than throwing across threads. No decoding ran.
+        telemetry::Counter *global = verdict == DecodeStatus::Throttled
+                                         ? requests_throttled_
+                                         : requests_rejected_;
+        if (global)
+            global->increment(n);
+        if (tenant_shed)
+            tenant_shed->increment(n);
+        const uint64_t shed_us = nowUs();
+        for (Item &item : pending.items) {
+            // Shed requests spent real time in admission (token
+            // lookup, possibly a ticket wait) that queue_latency_us
+            // never sees — account for it separately.
+            const uint64_t waited_us =
+                elapsedUs(item.enqueued_us, shed_us);
+            if (rejected_latency_us_)
+                rejected_latency_us_->observe(waited_us,
+                                              item.ctx.traceId());
+            if (item.root.active()) {
+                item.root.attr("outcome", outcomeName(verdict));
+                item.root.attrU64("rejected_latency_us", waited_us);
+                item.ctx.keep();  // tail trigger: shed = interesting
+                item.root.endAt(shed_us);
+            }
+            DecodeOutcome outcome;
+            outcome.status = verdict;
+            item.promise.set_value(std::move(outcome));
+        }
+        return false;
+    }
+
+    queue_cv_.notify_one();
+    if (ticketed) {
+        // We were the head of the line; the next ticket holder must
+        // re-evaluate whether the remaining space fits it.
+        space_cv_.notify_all();
+    }
+    if (requests_submitted_)
+        requests_submitted_->increment(n);
+    return true;
 }
 
 std::vector<std::future<DecodeOutcome>>
@@ -536,59 +596,8 @@ DecodeService::submitBatch(std::vector<DecodeRequest> batch)
         return futures;
     }
 
-    telemetry::Counter *tenant_rejected = nullptr;
-    telemetry::Counter *tenant_throttled = nullptr;
-    bool ticketed = false;
-    Verdict verdict = admitBatch(pending, n, &tenant_rejected,
-                                 &tenant_throttled, &ticketed);
-
-    if (verdict != Verdict::Admitted) {
-        // Shed: resolve every future with a typed outcome rather
-        // than throwing across threads. No decoding ran.
-        const bool throttled = verdict == Verdict::Throttled;
-        telemetry::Counter *global =
-            throttled ? requests_throttled_ : requests_rejected_;
-        telemetry::Counter *per_tenant =
-            throttled ? tenant_throttled : tenant_rejected;
-        if (global)
-            global->increment(n);
-        if (per_tenant)
-            per_tenant->increment(n);
-        const uint64_t shed_us = nowUs();
-        for (Item &item : pending.items) {
-            // Shed requests spent real time in admission (token
-            // lookup, possibly a ticket wait) that queue_latency_us
-            // never sees — account for it separately.
-            const uint64_t waited_us =
-                elapsedUs(item.enqueued_us, shed_us);
-            if (rejected_latency_us_)
-                rejected_latency_us_->observe(waited_us,
-                                              item.ctx.traceId());
-            if (item.root.active()) {
-                item.root.attr("outcome", throttled ? "throttled"
-                                                    : "overloaded");
-                item.root.attrU64("rejected_latency_us", waited_us);
-                item.ctx.keep();  // tail trigger: shed = interesting
-                item.root.endAt(shed_us);
-            }
-            DecodeOutcome outcome;
-            outcome.status = throttled ? DecodeStatus::Throttled
-                                       : DecodeStatus::Overloaded;
-            item.promise.set_value(std::move(outcome));
-        }
-        return futures;
-    }
-
-    queue_cv_.notify_one();
-    if (ticketed) {
-        // We were the head of the line; the next ticket holder must
-        // re-evaluate whether the remaining space fits it.
-        space_cv_.notify_all();
-    }
-    if (batches_submitted_)
+    if (admitOrShed(pending) && batches_submitted_)
         batches_submitted_->increment();
-    if (requests_submitted_)
-        requests_submitted_->increment(n);
     return futures;
 }
 
@@ -657,63 +666,24 @@ DecodeService::submitStreamChunk(
 {
     Batch pending;
     pending.tenant = stream->tenant;
-    pending.stream = std::move(stream);
-    pending.chunk = std::move(reads);
-    pending.stream_finish = finish_marker;
-    pending.enqueued_us = nowUs();
-    if (pending.stream->trace_ctx.active()) {
-        pending.root = pending.stream->trace_ctx.spanAt(
+    Item &item = pending.items.emplace_back();
+    item.request.reads = std::move(reads);
+    item.request.tenant = stream->tenant;
+    item.liveness = stream->liveness;
+    item.stream_finish = finish_marker;
+    item.enqueued_us = nowUs();
+    if (stream->trace_ctx.active()) {
+        item.root = stream->trace_ctx.spanAt(
             finish_marker ? "stream.finish" : "stream.chunk",
-            pending.enqueued_us);
-        pending.root.attrU64("reads", pending.chunk.size());
-        pending.ctx = pending.root.context();
+            item.enqueued_us);
+        item.root.attrU64("reads", item.request.reads.size());
+        item.ctx = item.root.context();
     }
-    std::future<DecodeOutcome> future =
-        pending.stream_promise.get_future();
+    item.stream = std::move(stream);
+    std::future<DecodeOutcome> future = item.promise.get_future();
 
-    telemetry::Counter *tenant_rejected = nullptr;
-    telemetry::Counter *tenant_throttled = nullptr;
-    bool ticketed = false;
-    Verdict verdict = admitBatch(pending, 1, &tenant_rejected,
-                                 &tenant_throttled, &ticketed);
-
-    if (verdict != Verdict::Admitted) {
-        const bool throttled = verdict == Verdict::Throttled;
-        telemetry::Counter *global =
-            throttled ? requests_throttled_ : requests_rejected_;
-        telemetry::Counter *per_tenant =
-            throttled ? tenant_throttled : tenant_rejected;
-        if (global)
-            global->increment();
-        if (per_tenant)
-            per_tenant->increment();
-        const uint64_t shed_us = nowUs();
-        const uint64_t waited_us =
-            elapsedUs(pending.enqueued_us, shed_us);
-        if (rejected_latency_us_)
-            rejected_latency_us_->observe(waited_us,
-                                          pending.ctx.traceId());
-        if (pending.root.active()) {
-            pending.root.attr("outcome", throttled ? "throttled"
-                                                   : "overloaded");
-            pending.root.attrU64("rejected_latency_us", waited_us);
-            pending.ctx.keep();
-            pending.root.endAt(shed_us);
-        }
-        DecodeOutcome outcome;
-        outcome.status = throttled ? DecodeStatus::Throttled
-                                   : DecodeStatus::Overloaded;
-        pending.stream_promise.set_value(std::move(outcome));
-        return future;
-    }
-
-    queue_cv_.notify_one();
-    if (ticketed)
-        space_cv_.notify_all();
-    if (stream_chunks_)
+    if (admitOrShed(pending) && stream_chunks_)
         stream_chunks_->increment();
-    if (requests_submitted_)
-        requests_submitted_->increment();
     return future;
 }
 
@@ -753,8 +723,7 @@ DecodeService::popNextBatchLocked()
             state.deficit += state.params.weight;
             state.charged = true;
         }
-        const uint64_t cost = static_cast<uint64_t>(
-            std::max<size_t>(1, state.queue.front().items.size()));
+        const uint64_t cost = state.queue.front().items.size();
         if (active_.size() == 1 && state.deficit < cost) {
             // Alone in the round there is nothing to interleave
             // with: grant the full cost at once instead of spinning
@@ -804,154 +773,74 @@ DecodeService::dispatcherLoop()
             batch = popNextBatchLocked();
         }
         if (params_.on_dispatch)
-            params_.on_dispatch(batch.tenant,
-                                std::max<size_t>(
-                                    1, batch.items.size()));
+            params_.on_dispatch(batch.tenant, batch.items.size());
         if (batch.dispatched)
             batch.dispatched->increment();
-        if (batch.stream)
-            runStreamChunk(batch);
-        else
-            runBatch(batch);
+        runBatch(batch);
     }
 }
 
+// A stream chunk is a one-item batch, and ThreadPool::parallelFor runs
+// a single item inline, so this runs on the dispatcher thread: a
+// session is only ever touched by the dispatcher, and one session's
+// chunks run one at a time in submission order.
 void
-DecodeService::runStreamChunk(Batch &batch)
+DecodeService::runStreamItem(Item &item, DecodeOutcome &outcome)
 {
-    DecodeStream::State &stream = *batch.stream;
-    const uint64_t start_us = nowUs();
-    const uint64_t queued_us = elapsedUs(batch.enqueued_us, start_us);
-    if (queue_latency_us_)
-        queue_latency_us_->observe(queued_us, batch.ctx.traceId());
-    if (batch.queue_latency)
-        batch.queue_latency->observe(queued_us, batch.ctx.traceId());
-    if (batch.ctx.active()) {
-        telemetry::SpanHandle queue_span =
-            batch.ctx.spanAt("queue", batch.admitted_us);
-        queue_span.attrU64("wdrr_deficit", batch.dispatch_deficit);
-        queue_span.endAt(start_us);
-    }
-
-    DecodeOutcome outcome;
-    std::exception_ptr error;
-    size_t missing = 0;
-    try {
-        fatalIf(stream.liveness.expired(),
-                "DecodeService: Decoder destroyed before its stream "
-                "chunk ran");
-        const DecodeStats before = stream.session->stats();
-        if (batch.stream_finish) {
-            outcome.units = stream.session->finish(&outcome.stats,
-                                                   &pool_, batch.ctx);
-            // Expected units the session never recovered resolve
-            // with a typed Incomplete result, and the finish
-            // outcome reports Partial.
-            {
-                sync::MutexLock lock(stream.m);
-                missing = stream.unit_promises.size();
-                for (auto &[unit, promise] : stream.unit_promises) {
-                    StreamUnitResult result;
-                    result.status = UnitStatus::Incomplete;
-                    result.block = unit.first;
-                    result.version = unit.second;
-                    promise.set_value(std::move(result));
-                }
-                stream.unit_promises.clear();
+    DecodeStream::State &stream = *item.stream;
+    const DecodeStats before = stream.session->stats();
+    if (item.stream_finish) {
+        outcome.units =
+            stream.session->finish(&outcome.stats, &pool_, item.ctx);
+        // Expected units the session never recovered resolve with a
+        // typed Incomplete result, and the finish outcome reports
+        // Partial.
+        {
+            sync::MutexLock lock(stream.m);
+            stream.units_missing = stream.unit_promises.size();
+            for (auto &[unit, promise] : stream.unit_promises) {
+                StreamUnitResult result;
+                result.status = UnitStatus::Incomplete;
+                result.block = unit.first;
+                result.version = unit.second;
+                promise.set_value(std::move(result));
             }
-            outcome.status = missing == 0 ? DecodeStatus::Ok
-                                          : DecodeStatus::Partial;
-        } else {
-            const size_t consumed =
-                stream.session->feed(batch.chunk, &pool_, batch.ctx);
-            outcome.stats = stream.session->stats();
-            outcome.status = (consumed == 0 && !batch.chunk.empty())
-                                 ? DecodeStatus::Skipped
-                                 : DecodeStatus::Ok;
+            stream.unit_promises.clear();
         }
-
-        const DecodeStats &after = outcome.stats;
-        if (stream_reads_consumed_)
-            stream_reads_consumed_->increment(
-                after.reads_consumed - before.reads_consumed);
-        if (stream_reads_skipped_)
-            stream_reads_skipped_->increment(
-                after.reads_skipped - before.reads_skipped);
-        if (stream_units_early_)
-            stream_units_early_->increment(
-                after.units_emitted_early -
-                before.units_emitted_early);
-        if (stream.session->complete() &&
-            !stream.complete.load(std::memory_order_relaxed)) {
-            stream.complete.store(true, std::memory_order_release);
-            if (streams_completed_early_)
-                streams_completed_early_->increment();
-        }
-        if ((stream.session->complete() || batch.stream_finish) &&
-            !stream.completion_observed) {
-            stream.completion_observed = true;
-            if (stream_reads_at_completion_)
-                stream_reads_at_completion_->observe(
-                    after.reads_consumed);
-        }
-        if (decode_latency_us_)
-            decode_latency_us_->observe(elapsedUs(start_us, nowUs()),
-                                        batch.ctx.traceId());
-    } catch (...) {
-        error = std::current_exception();
-    }
-
-    if (batch.root.active()) {
-        if (error) {
-            batch.root.attr("outcome", "error");
-            batch.ctx.keep();
-        } else {
-            batch.root.attr("outcome",
-                            outcome.status == DecodeStatus::Ok
-                                ? "ok"
-                                : outcome.status ==
-                                          DecodeStatus::Partial
-                                      ? "partial"
-                                      : "skipped");
-            batch.root.attrU64("reads_consumed",
-                               outcome.stats.reads_consumed);
-        }
-        batch.root.end();
-    }
-    // The finish marker closes the session's "stream" root — it is
-    // the last chunk by contract, and the trace deposits here so a
-    // caller waking from finish().get() can already retrieve it.
-    if (batch.stream_finish && stream.trace_root.active()) {
-        if (error) {
-            stream.trace_root.attr("outcome", "error");
-            stream.trace_ctx.keep();
-        } else {
-            stream.trace_root.attr("outcome",
-                                   missing == 0 ? "ok" : "partial");
-            stream.trace_root.attrU64("units_missing", missing);
-        }
-        stream.trace_root.end();
-    }
-
-    // Release queue space before fulfilling the promise: a caller
-    // woken by future.get() must observe the freed capacity.
-    {
-        sync::MutexLock lock(mutex_);
-        in_flight_ -= 1;
-        tenants_.at(batch.tenant).in_flight -= 1;
-        if (queue_depth_)
-            queue_depth_->set(static_cast<int64_t>(in_flight_));
-    }
-    space_cv_.notify_all();
-
-    if (error) {
-        if (requests_failed_)
-            requests_failed_->increment();
-        batch.stream_promise.set_exception(error);
+        outcome.status = stream.units_missing == 0
+                             ? DecodeStatus::Ok
+                             : DecodeStatus::Partial;
     } else {
-        if (requests_decoded_)
-            requests_decoded_->increment();
-        batch.stream_promise.set_value(std::move(outcome));
+        const std::vector<sim::Read> &reads = item.request.reads;
+        const size_t consumed =
+            stream.session->feed(reads, &pool_, item.ctx);
+        outcome.stats = stream.session->stats();
+        outcome.status = (consumed == 0 && !reads.empty())
+                             ? DecodeStatus::Skipped
+                             : DecodeStatus::Ok;
+    }
+
+    const DecodeStats &after = outcome.stats;
+    if (stream_reads_consumed_)
+        stream_reads_consumed_->increment(after.reads_consumed -
+                                          before.reads_consumed);
+    if (stream_reads_skipped_)
+        stream_reads_skipped_->increment(after.reads_skipped -
+                                         before.reads_skipped);
+    if (stream_units_early_)
+        stream_units_early_->increment(after.units_emitted_early -
+                                       before.units_emitted_early);
+    if (stream.session->complete() &&
+        !stream.complete.load(std::memory_order_relaxed)) {
+        stream.complete.store(true, std::memory_order_release);
+        if (streams_completed_early_)
+            streams_completed_early_->increment();
+    }
+    if ((stream.session->complete() || item.stream_finish) &&
+        !stream.completion_observed) {
+        stream.completion_observed = true;
+        if (stream_reads_at_completion_)
+            stream_reads_at_completion_->observe(after.reads_consumed);
     }
 }
 
@@ -962,10 +851,10 @@ DecodeService::runBatch(Batch &batch)
     std::vector<DecodeOutcome> outcomes(n);
     std::vector<std::exception_ptr> errors(n);
 
-    // Shard the batch's partition jobs across the pool. Each job's
-    // internal stages fork on the same pool (nested fork-join), and
-    // each job catches its own failure so one bad request cannot
-    // abandon its siblings' iterations or poison their promises.
+    // Shard the batch's items across the pool. A request's internal
+    // stages fork on the same pool (nested fork-join), and each item
+    // catches its own failure so one bad request cannot abandon its
+    // siblings' iterations or poison their promises.
     pool_.parallelFor(n, [&](size_t i) {
         Item &item = batch.items[i];
         const uint64_t start_us = nowUs();
@@ -987,18 +876,26 @@ DecodeService::runBatch(Batch &batch)
             queue_span.attrU64("wdrr_deficit",
                                batch.dispatch_deficit);
             queue_span.endAt(start_us);
-            decode_span = item.ctx.span("decode");
-            decode_span.attrU64("reads", item.request.reads.size());
+            // A chunk's stage spans hang directly off its chunk span.
+            if (!item.stream) {
+                decode_span = item.ctx.span("decode");
+                decode_span.attrU64("reads",
+                                    item.request.reads.size());
+            }
         }
         try {
-            fatalIf(item.request.decoder == nullptr,
+            fatalIf(!item.stream && item.request.decoder == nullptr,
                     "DecodeService: request has no decoder");
             fatalIf(item.liveness.expired(),
-                    "DecodeService: Decoder destroyed before its "
-                    "request ran");
-            outcomes[i].units = item.request.decoder->decodeAll(
-                item.request.reads, &outcomes[i].stats, pool_,
-                decode_span.context());
+                    "DecodeService: Decoder destroyed before its ",
+                    item.stream ? "stream chunk" : "request", " ran");
+            if (item.stream) {
+                runStreamItem(item, outcomes[i]);
+            } else {
+                outcomes[i].units = item.request.decoder->decodeAll(
+                    item.request.reads, &outcomes[i].stats, pool_,
+                    decode_span.context());
+            }
             if (decode_latency_us_)
                 decode_latency_us_->observe(
                     elapsedUs(start_us, nowUs()),
@@ -1043,12 +940,32 @@ DecodeService::runBatch(Batch &batch)
                 item.root.attr("outcome", "error");
                 item.ctx.keep();  // tail trigger: errors always kept
             } else {
-                item.root.attr("outcome", "ok");
+                item.root.attr("outcome",
+                               outcomeName(outcomes[i].status));
+                if (item.stream)
+                    item.root.attrU64(
+                        "reads_consumed",
+                        outcomes[i].stats.reads_consumed);
             }
             // End (and possibly deposit) the trace before the caller
             // wakes, so a future.get() straight into findTrace()
             // observes it.
             item.root.end();
+        }
+        // The finish marker closes the session's "stream" root (it is
+        // the last chunk by contract), also before its caller wakes.
+        if (item.stream_finish && item.stream->trace_root.active()) {
+            DecodeStream::State &stream = *item.stream;
+            if (errors[i]) {
+                stream.trace_root.attr("outcome", "error");
+                stream.trace_ctx.keep();
+            } else {
+                stream.trace_root.attr(
+                    "outcome", outcomeName(outcomes[i].status));
+                stream.trace_root.attrU64("units_missing",
+                                          stream.units_missing);
+            }
+            stream.trace_root.end();
         }
         if (errors[i])
             item.promise.set_exception(errors[i]);

@@ -299,8 +299,8 @@ struct StreamParams
 
     /** Units whose recovery completes the session early; each gets a
      *  completion future (DecodeStream::unitFuture). Empty = deferred
-     *  mode: no early attempts, finish() is byte-identical to a
-     *  one-shot decodeAll (see StreamingParams::expected_units). */
+     *  mode: no early attempts, and finish() decodes everything at
+     *  once, as decodeAll does (see StreamingParams::expected_units). */
     std::vector<UnitKey> expected_units;
 
     /** See StreamingParams::attempt_columns (0 = the margin-derived
@@ -318,11 +318,11 @@ class DecodeService;
 /**
  * Handle to one streaming decode session on a DecodeService. Obtained
  * from DecodeService::openStream; copyable (all copies share the
- * session). Chunks submitted through feed() pass the same admission
- * control as batch submissions (token bucket, queue depth, WDRR
- * dispatch — one chunk costs one request) and are processed strictly
- * in submission order, so the session sees the exact chunk sequence
- * the caller fed.
+ * session). Each chunk submitted through feed() is a one-request
+ * batch: it passes the same admission control as batch submissions
+ * (token bucket, queue depth, WDRR dispatch) and chunks are processed
+ * strictly in submission order, so the session sees the exact chunk
+ * sequence the caller fed.
  *
  * The service must outlive every handle. finish() must be called to
  * resolve outstanding unit futures (dropping the last handle without
@@ -445,22 +445,35 @@ class DecodeService
   private:
     using Clock = std::chrono::steady_clock;
 
+    /** One request, or one chunk of a stream session: a chunk is a
+     *  one-item batch whose reads sit in request.reads (the decoder
+     *  stays null; the session carries its own). */
     struct Item
     {
         DecodeRequest request;
         std::promise<DecodeOutcome> promise;
+        /** Liveness token of the request's (or session's) decoder. */
         std::weak_ptr<const void> liveness;
         uint64_t enqueued_us = 0;  ///< nowUs() at submission
         uint64_t admitted_us = 0;  ///< nowUs() when admission granted
 
-        // Request trace: root is the "request" span (joined from
-        // request.trace or service-rooted), ctx parents the
-        // admission/queue/decode children. Both inactive when
-        // tracing is off.
+        /** The session a chunk feeds; null for a request. */
+        std::shared_ptr<DecodeStream::State> stream;
+        /** The chunk is the finish marker DecodeStream::finish()
+         *  enqueues. */
+        bool stream_finish = false;
+
+        // Trace: root is the request's "request" span (joined from
+        // request.trace or service-rooted), or a chunk's
+        // "stream.chunk" / "stream.finish" span under its session's
+        // "stream" root; ctx parents the admission/queue/decode
+        // children. Both inactive when tracing is off.
         telemetry::SpanHandle root;
         telemetry::TraceContext ctx;
     };
 
+    /** One admission and one dispatch: a submitBatch's requests, or
+     *  a single stream chunk as a one-item batch. */
     struct Batch
     {
         std::vector<Item> items;
@@ -470,28 +483,10 @@ class DecodeService
         telemetry::Counter *dispatched = nullptr;
         telemetry::Histogram *queue_latency = nullptr;
 
-        // Streaming chunk (items empty, costs one request): the
-        // session it belongs to, the reads, and the chunk's own
-        // completion promise. stream_finish marks the finalizing
-        // pseudo-chunk enqueued by DecodeStream::finish().
-        std::shared_ptr<DecodeStream::State> stream;
-        std::vector<sim::Read> chunk;
-        bool stream_finish = false;
-        std::promise<DecodeOutcome> stream_promise;
-        uint64_t enqueued_us = 0;  ///< nowUs() at submission
-        uint64_t admitted_us = 0;  ///< nowUs() when admission granted
-
         /** WDRR credit left for the tenant's turn right after this
          *  batch was charged (captured in popNextBatchLocked; only
          *  read by the dispatch spans). */
         uint64_t dispatch_deficit = 0;
-
-        // Stream-chunk trace: root is the "stream.chunk" (or
-        // "stream.finish") span under the session's "stream" root,
-        // ctx parents its admission/queue/decode children. Inactive
-        // for item batches and when tracing is off.
-        telemetry::SpanHandle root;
-        telemetry::TraceContext ctx;
     };
 
     /** Per-tenant scheduler state; lives in tenants_, so every field
@@ -517,27 +512,23 @@ class DecodeService
     };
 
     void dispatcherLoop() DNASTORE_EXCLUDES(mutex_);
+
+    /** Run every item of @p batch on the pool, then release its queue
+     *  space, count outcomes and fulfil its promises in order. */
     void runBatch(Batch &batch) DNASTORE_EXCLUDES(mutex_);
 
-    /** Process one streaming chunk (or finish marker) inside the
-     *  dispatcher; chunks of one session are strictly serialized. */
-    void runStreamChunk(Batch &batch) DNASTORE_EXCLUDES(mutex_);
+    /** Feed or finish a chunk's session and update the stream
+     *  counters (see the definition for the threading invariant). */
+    void runStreamItem(Item &item, DecodeOutcome &outcome)
+        DNASTORE_EXCLUDES(mutex_);
 
     /** Admission path shared by submitBatch and stream chunks: bill
      *  the token bucket, wait in the ticket line (Block policy) or
-     *  shed, and enqueue on success. @p pending is consumed only on
-     *  Admitted; a shed verdict leaves it with the caller, whose
-     *  promises must still be resolved. */
-    enum class Verdict
-    {
-        Admitted,
-        Rejected,
-        Throttled,
-    };
-    Verdict admitBatch(Batch &pending, size_t n,
-                       telemetry::Counter **tenant_rejected,
-                       telemetry::Counter **tenant_throttled,
-                       bool *ticketed) DNASTORE_EXCLUDES(mutex_);
+     *  shed, and enqueue on success. Returns true when @p pending was
+     *  admitted (and moved into the queue); a shed batch stays with
+     *  the caller, its promises already resolved Overloaded or
+     *  Throttled. */
+    bool admitOrShed(Batch &pending) DNASTORE_EXCLUDES(mutex_);
 
     /** Enqueue one chunk of @p stream through admission control. */
     std::future<DecodeOutcome> submitStreamChunk(

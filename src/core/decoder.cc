@@ -13,9 +13,36 @@ namespace dnastore::core {
 
 namespace {
 
+/** One payload candidate recovered for a (block, version, column)
+ *  address. */
+struct StrandCandidate
+{
+    Bytes payload;
+
+    /** Reads supporting the reconstruction. */
+    size_t cluster_size = 0;
+
+    /** Tree-walk mismatches of the decoded index; misprimed
+     *  amplicons typically decode with 1-2 mismatches while true
+     *  strands decode exactly, so this ranks candidates. */
+    size_t index_mismatches = 0;
+};
+
+/** All candidates recovered for one address, sorted best-first:
+ *  fewest index mismatches, then most supporting reads. */
+struct RecoveredSlot
+{
+    std::vector<StrandCandidate> candidates;
+};
+
+/** Candidate slots per unit, by column; map order is the
+ *  deterministic (ascending unit key) decode and emission order. */
+using UnitSlots = std::map<UnitKey, std::map<unsigned, RecoveredSlot>>;
+
 /** Everything one unit decode produces, reduced in unit order. */
 struct UnitOutcome
 {
+    UnitKey unit{0, 0};
     bool ok = false;
     Bytes data;  // descrambled raw unit payload, when ok
     size_t candidate_retries = 0;
@@ -29,20 +56,18 @@ struct UnitOutcome
  * slots: primary candidates first; on failure, swap in alternates one
  * address at a time, then progressively erase the least-trustworthy
  * columns so the outer code can fill them (Section 8.1 fallback).
- * Shared by the one-shot pipeline and the streaming session's early
- * attempts — the fallback policy cannot drift between the two paths.
  */
 UnitOutcome
-decodeUnitWithFallback(
-    const Partition &partition, uint64_t block, unsigned version,
-    const std::map<unsigned, const RecoveredSlot *> &columns)
+decodeUnitWithFallback(const Partition &partition, const UnitKey &unit,
+                       const std::map<unsigned, RecoveredSlot> &columns)
 {
     const PartitionConfig &config = partition.config();
     UnitOutcome outcome;
+    outcome.unit = unit;
 
     std::vector<std::optional<Bytes>> primary(config.rs_n);
     for (const auto &[column, slot] : columns)
-        primary[column] = slot->candidates.front().payload;
+        primary[column] = slot.candidates.front().payload;
 
     ecc::UnitDecodeResult decoded =
         partition.unitCodec().decode(primary);
@@ -54,9 +79,9 @@ decodeUnitWithFallback(
         for (const auto &[column, slot] : columns) {
             if (decoded.ok())
                 break;
-            for (size_t alt = 1; alt < slot->candidates.size();
+            for (size_t alt = 1; alt < slot.candidates.size();
                  ++alt) {
-                trial[column] = slot->candidates[alt].payload;
+                trial[column] = slot.candidates[alt].payload;
                 ++outcome.candidate_retries;
                 ecc::UnitDecodeResult attempt =
                     partition.unitCodec().decode(trial);
@@ -77,9 +102,9 @@ decodeUnitWithFallback(
         std::sort(order.begin(), order.end(),
                   [&](unsigned a, unsigned b) {
                       const StrandCandidate &ca =
-                          columns.at(a)->candidates.front();
+                          columns.at(a).candidates.front();
                       const StrandCandidate &cb =
-                          columns.at(b)->candidates.front();
+                          columns.at(b).candidates.front();
                       if (ca.index_mismatches != cb.index_mismatches)
                           return ca.index_mismatches >
                                  cb.index_mismatches;
@@ -104,9 +129,36 @@ decodeUnitWithFallback(
     outcome.symbol_errors_corrected = decoded.symbol_errors_corrected;
     outcome.erasures_filled = decoded.erasures_filled;
     outcome.max_row_correction_load = decoded.max_row_correction_load;
-    outcome.data =
-        partition.unscrambleUnitRaw(*decoded.data, block, version);
+    outcome.data = partition.unscrambleUnitRaw(*decoded.data, unit.first,
+                                               unit.second);
     return outcome;
+}
+
+/**
+ * RS-decode every unit of @p units, fanned out across the pool with
+ * one decode.rs_unit span each. Units are independent (each reads only
+ * its own slots and the const partition codecs); outcomes come back in
+ * ascending unit-key order for the caller to fold sequentially.
+ */
+std::vector<UnitOutcome>
+decodeUnits(const Partition &partition, const UnitSlots &units,
+            ThreadPool &pool, const telemetry::TraceContext &trace)
+{
+    std::vector<const UnitSlots::value_type *> list;
+    list.reserve(units.size());
+    for (const auto &entry : units)
+        list.push_back(&entry);
+    return pool.parallelMap<UnitOutcome>(list.size(), [&](size_t u) {
+        const auto &[unit, columns] = *list[u];
+        telemetry::SpanHandle span = trace.span("decode.rs_unit");
+        span.attrU64("block", unit.first);
+        span.attrU64("version", unit.second);
+        UnitOutcome outcome =
+            decodeUnitWithFallback(partition, unit, columns);
+        span.attrU64("decoded", outcome.ok ? 1 : 0);
+        span.end();
+        return outcome;
+    });
 }
 
 /** Best-first candidate order within a slot (Section 8.1 ranking). */
@@ -123,129 +175,6 @@ candidateBefore(const StrandCandidate &a, const StrandCandidate &b)
 Decoder::Decoder(const Partition &partition, DecoderParams params)
     : partition_(partition), params_(params)
 {}
-
-std::map<std::tuple<uint64_t, unsigned, unsigned>, RecoveredSlot>
-Decoder::recoverStrands(const std::vector<sim::Read> &reads,
-                        DecodeStats *stats, ThreadPool &pool,
-                        const telemetry::TraceContext &trace) const
-{
-    const PartitionConfig &config = partition_.config();
-    const dna::Sequence &stem = partition_.elongation().stem();
-
-    // Step 1: primer filter. The per-read alignments fan out across
-    // the pool; the keep/drop decision for a read depends only on
-    // that read, and the matches are gathered in input order.
-    telemetry::SpanHandle filter_span =
-        trace.span("decode.primer_filter");
-    // keep[] lives in the caller's arena for the duration of the
-    // batch; workers only write their own slot.
-    Arena &arena = Arena::scratch();
-    ArenaScope keep_scope(arena);
-    uint8_t *keep = arena.allocArray<uint8_t>(reads.size());
-    pool.parallelFor(reads.size(), [&](size_t i) {
-        dna::PrefixAlignment align = dna::alignPrimerToPrefix(
-            stem, reads[i].seq, params_.primer_match_dist);
-        keep[i] = align.distance != dna::kDistanceInfinity;
-    });
-    std::vector<dna::Sequence> filtered;
-    filtered.reserve(reads.size());
-    for (size_t i = 0; i < reads.size(); ++i) {
-        if (keep[i])
-            filtered.push_back(reads[i].seq);
-    }
-    filter_span.attrU64("reads_in", reads.size());
-    filter_span.attrU64("matched", filtered.size());
-    filter_span.end();
-    if (stats) {
-        stats->reads_in = reads.size();
-        // The one-shot pipeline ingests everything it is offered.
-        stats->reads_consumed = reads.size();
-        stats->reads_primer_matched = filtered.size();
-    }
-
-    std::map<std::tuple<uint64_t, unsigned, unsigned>, RecoveredSlot>
-        recovered;
-    if (filtered.empty())
-        return recovered;
-
-    // Step 2: cluster (clusters arrive sorted by decreasing size).
-    telemetry::SpanHandle cluster_span = trace.span("decode.cluster");
-    std::vector<cluster::Cluster> clusters =
-        cluster::clusterReads(filtered, params_.cluster, &pool);
-    cluster_span.attrU64("clusters", clusters.size());
-    cluster_span.end();
-    if (stats)
-        stats->clusters_total = clusters.size();
-
-    // Step 3: reconstruct per cluster. The clusters are sorted by
-    // decreasing size, so the ones above the size cutoff form a
-    // prefix; their BMA consensus runs are independent and fan out
-    // across the pool, while parsing/ranking below consumes the
-    // reconstructed strands in the original descending-size order.
-    size_t used = 0;
-    while (used < clusters.size() &&
-           clusters[used].size() >= params_.min_cluster_size) {
-        ++used;
-    }
-    telemetry::SpanHandle consensus_span =
-        trace.span("decode.consensus");
-    std::vector<std::vector<size_t>> memberships(used);
-    for (size_t i = 0; i < used; ++i)
-        memberships[i] = clusters[i].members;
-    std::vector<dna::Sequence> strands = consensus::bmaDoubleSidedBatch(
-        filtered, memberships, config.strand_length, params_.bma,
-        &pool);
-
-    for (size_t i = 0; i < used; ++i) {
-        const cluster::Cluster &c = clusters[i];
-        if (stats)
-            ++stats->clusters_used;
-
-        std::optional<StrandFields> fields =
-            parseStrand(config, strands[i]);
-        if (!fields)
-            continue;
-
-        index::IndexMatch match =
-            partition_.tree().decodeNearest(fields->address);
-        if (match.mismatches > params_.max_index_mismatches) {
-            if (stats)
-                ++stats->index_rejects;
-            continue;
-        }
-        unsigned column = decodeIntra(config, fields->intra);
-        if (column >= config.rs_n) {
-            if (stats)
-                ++stats->index_rejects;
-            continue;
-        }
-
-        auto key = std::make_tuple(match.block, match.version, column);
-        RecoveredSlot &slot = recovered[key];
-        if (!slot.candidates.empty() && stats)
-            ++stats->duplicate_addresses;
-        if (slot.candidates.size() <
-            params_.max_candidates_per_address) {
-            StrandCandidate candidate;
-            candidate.payload = codec::basesToBytes(fields->payload);
-            candidate.cluster_size = c.size();
-            candidate.index_mismatches = match.mismatches;
-            slot.candidates.push_back(std::move(candidate));
-            if (stats)
-                ++stats->strands_recovered;
-        }
-    }
-
-    // Rank candidates: exact-index reconstructions from big clusters
-    // first; misprimed amplicons sink to the back (Section 8.1).
-    for (auto &[key, slot] : recovered) {
-        std::sort(slot.candidates.begin(), slot.candidates.end(),
-                  candidateBefore);
-    }
-    consensus_span.attrU64("clusters_used", used);
-    consensus_span.end();
-    return recovered;
-}
 
 std::map<uint64_t, BlockVersions>
 Decoder::decodeAll(const std::vector<sim::Read> &reads,
@@ -265,62 +194,9 @@ Decoder::decodeAll(const std::vector<sim::Read> &reads,
                    DecodeStats *stats, ThreadPool &pool,
                    const telemetry::TraceContext &trace) const
 {
-    auto recovered = recoverStrands(reads, stats, pool, trace);
-
-    // Group addresses by (block, version).
-    std::map<UnitKey, std::map<unsigned, const RecoveredSlot *>> units;
-    for (const auto &[key, slot] : recovered) {
-        auto [block, version, column] = key;
-        units[{block, version}][column] = &slot;
-    }
-
-    // Step 4: units are independent (each reads only its own columns
-    // of `recovered` and the const partition codecs), so the decodes
-    // fan out across the pool; stats and results are merged
-    // sequentially in unit-key order below.
-    std::vector<std::pair<UnitKey,
-                          const std::map<unsigned,
-                                         const RecoveredSlot *> *>>
-        unit_list;
-    unit_list.reserve(units.size());
-    for (const auto &[unit_key, columns] : units)
-        unit_list.emplace_back(unit_key, &columns);
-
-    std::vector<UnitOutcome> outcomes =
-        pool.parallelMap<UnitOutcome>(unit_list.size(), [&](size_t u) {
-            const auto &[unit_key, columns] = unit_list[u];
-            telemetry::SpanHandle span = trace.span("decode.rs_unit");
-            span.attrU64("block", unit_key.first);
-            span.attrU64("version", unit_key.second);
-            UnitOutcome outcome = decodeUnitWithFallback(
-                partition_, unit_key.first, unit_key.second, *columns);
-            span.attrU64("decoded", outcome.ok ? 1 : 0);
-            span.end();
-            return outcome;
-        });
-
-    std::map<uint64_t, BlockVersions> result;
-    for (size_t u = 0; u < unit_list.size(); ++u) {
-        auto [block, version] = unit_list[u].first;
-        UnitOutcome &outcome = outcomes[u];
-        if (stats) {
-            ++stats->units_attempted;
-            stats->candidate_retries += outcome.candidate_retries;
-        }
-        if (!outcome.ok) {
-            if (stats)
-                ++stats->units_failed;
-            continue;
-        }
-        if (stats) {
-            ++stats->units_decoded;
-            stats->symbol_errors_corrected +=
-                outcome.symbol_errors_corrected;
-            stats->erasures_filled += outcome.erasures_filled;
-        }
-        result[block].versions[version] = std::move(outcome.data);
-    }
-    return result;
+    StreamingDecoder session(partition_, params_);
+    session.feed(reads, &pool, trace);
+    return session.finish(stats, &pool, trace);
 }
 
 Bytes
@@ -421,15 +297,18 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
         return 0;
     }
     stats_.reads_consumed += reads.size();
-    if (reads.empty())
-        return 0;
     ThreadPool &p = resolvePool(pool);
 
-    // Step 1: primer filter — the same per-read decision as the
-    // one-shot pipeline, so the surviving stream is identical.
+    // Step 1: primer filter. The keep/drop decision for a read
+    // depends only on that read, so the alignments fan out across the
+    // pool and the matches are gathered in input order — the
+    // surviving stream is the same for any chunking. An empty chunk
+    // still records its (empty) filter span.
     telemetry::SpanHandle filter_span =
         trace.span("decode.primer_filter");
     const dna::Sequence &stem = partition_.elongation().stem();
+    // keep[] lives in the caller's arena for the duration of the
+    // chunk; workers only write their own slot.
     Arena &arena = Arena::scratch();
     ArenaScope keep_scope(arena);
     uint8_t *keep = arena.allocArray<uint8_t>(reads.size());
@@ -587,27 +466,16 @@ StreamingDecoder::attemptUnits(const std::set<UnitKey> &changed,
                                  ? streaming_.attempt_columns
                                  : config.rs_n - slack;
 
-    // std::set iteration gives ascending unit-key order — the
-    // deterministic emission order within a chunk.
-    std::vector<UnitKey> attempt;
+    // Build candidate slots per coverage-sufficient unit: within a
+    // column, contributors rank best-first (fewest index mismatches,
+    // most supporting reads, then cluster id as a total tiebreak),
+    // capped at max_candidates_per_address like finish().
+    UnitSlots slots;
     for (const UnitKey &unit : changed) {
         auto it = pending_units_.find(unit);
-        if (it != pending_units_.end() &&
-            it->second.size() >= threshold)
-            attempt.push_back(unit);
-    }
-    if (attempt.empty())
-        return;
-
-    // Build candidate slots per unit: within a column, contributors
-    // rank best-first (fewest index mismatches, most supporting
-    // reads, then cluster id as a total tiebreak), capped at
-    // max_candidates_per_address like the one-shot path.
-    std::vector<std::map<unsigned, RecoveredSlot>> slots(
-        attempt.size());
-    for (size_t u = 0; u < attempt.size(); ++u) {
-        for (const auto &[column, ids] :
-             pending_units_.at(attempt[u])) {
+        if (it == pending_units_.end() || it->second.size() < threshold)
+            continue;
+        for (const auto &[column, ids] : it->second) {
             std::vector<size_t> ranked = ids;
             std::sort(
                 ranked.begin(), ranked.end(),
@@ -623,7 +491,7 @@ StreamingDecoder::attemptUnits(const std::set<UnitKey> &changed,
                         return sa > sb;
                     return a < b;
                 });
-            RecoveredSlot &slot = slots[u][column];
+            RecoveredSlot &slot = slots[unit][column];
             size_t take = std::min(
                 ranked.size(), params_.max_candidates_per_address);
             for (size_t i = 0; i < take; ++i) {
@@ -638,31 +506,10 @@ StreamingDecoder::attemptUnits(const std::set<UnitKey> &changed,
         }
     }
 
-    // The attempts are independent; fan out, fold in key order. A
-    // failed probe is not stats-visible — the unit re-attempts the
+    // A failed probe is not stats-visible — the unit re-attempts the
     // next time its column map changes, and only its terminal decode
-    // counts (keeping eager stats comparable to one-shot stats).
-    std::vector<std::map<unsigned, const RecoveredSlot *>> column_ptrs(
-        attempt.size());
-    for (size_t u = 0; u < attempt.size(); ++u) {
-        for (const auto &[column, slot] : slots[u])
-            column_ptrs[u][column] = &slot;
-    }
-    std::vector<UnitOutcome> outcomes =
-        pool.parallelMap<UnitOutcome>(attempt.size(), [&](size_t u) {
-            telemetry::SpanHandle span = trace.span("decode.rs_unit");
-            span.attrU64("block", attempt[u].first);
-            span.attrU64("version", attempt[u].second);
-            UnitOutcome outcome =
-                decodeUnitWithFallback(partition_, attempt[u].first,
-                                       attempt[u].second,
-                                       column_ptrs[u]);
-            span.attrU64("decoded", outcome.ok ? 1 : 0);
-            span.end();
-            return outcome;
-        });
-    for (size_t u = 0; u < attempt.size(); ++u) {
-        UnitOutcome &outcome = outcomes[u];
+    // counts (keeping eager stats comparable to deferred stats).
+    for (UnitOutcome &outcome : decodeUnits(partition_, slots, pool, trace)) {
         if (!outcome.ok)
             continue;
         // An early emission freezes the payload, so it must be
@@ -683,7 +530,7 @@ StreamingDecoder::attemptUnits(const std::set<UnitKey> &changed,
         stats_.symbol_errors_corrected +=
             outcome.symbol_errors_corrected;
         stats_.erasures_filled += outcome.erasures_filled;
-        emitUnit(attempt[u], std::move(outcome.data), true);
+        emitUnit(outcome.unit, std::move(outcome.data), true);
     }
 }
 
@@ -717,9 +564,9 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
 
     // Bring consensus up to date for every usable cluster that grew
     // since its last refresh. Deferred mode: that is all of them, so
-    // steps 3-4 below replay the one-shot pipeline over the full
-    // accumulated state. Early-terminated sessions skip this — their
-    // pending attempts are cancelled, not completed.
+    // steps 3-4 below run over the full accumulated state.
+    // Early-terminated sessions skip this — their pending attempts
+    // are cancelled, not completed.
     views_.resize(clusterer_.clusters().size());
     if (!complete_) {
         std::vector<size_t> stale;
@@ -733,12 +580,12 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
             refreshClusters(stale, p, trace);
     }
 
-    // Assemble per-address candidate slots in the exact order the
-    // one-shot pipeline uses: clusters by decreasing size, size
-    // cutoff as a prefix. This defines the cluster/strand accounting
-    // in every mode; in non-complete sessions it also feeds the RS
-    // sweep below, making deferred finish() ≡ decodeAll by
-    // construction.
+    // Step 3: assemble per-address candidate slots from the clusters
+    // by decreasing size (the size cutoff is a prefix); the first
+    // reconstruction per address is primary, later ones are alternate
+    // candidates for the Section 8.1 fallback. This defines the
+    // cluster/strand accounting in every mode; in non-complete
+    // sessions it also feeds the RS sweep below.
     std::vector<size_t> order(clusterer_.clusters().size());
     for (size_t c = 0; c < order.size(); ++c)
         order[c] = c;
@@ -748,8 +595,7 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
     });
 
     stats_.clusters_total = clusterer_.clusters().size();
-    std::map<std::tuple<uint64_t, unsigned, unsigned>, RecoveredSlot>
-        recovered;
+    UnitSlots recovered;
     for (size_t c : order) {
         const cluster::Cluster &cl = clusterer_.clusters()[c];
         if (cl.size() < params_.min_cluster_size)
@@ -762,9 +608,7 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
             ++stats_.index_rejects;
             continue;
         }
-        auto key = std::make_tuple(view.unit.first, view.unit.second,
-                                   view.column);
-        RecoveredSlot &slot = recovered[key];
+        RecoveredSlot &slot = recovered[view.unit][view.column];
         if (!slot.candidates.empty())
             ++stats_.duplicate_addresses;
         if (slot.candidates.size() <
@@ -777,45 +621,20 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
             ++stats_.strands_recovered;
         }
     }
-    for (auto &[key, slot] : recovered) {
-        std::sort(slot.candidates.begin(), slot.candidates.end(),
-                  candidateBefore);
-    }
 
     // Step 4: RS-decode every unit not already emitted. An
     // early-terminated session decodes nothing further.
-    std::map<UnitKey, std::map<unsigned, const RecoveredSlot *>> units;
-    if (!complete_) {
-        for (const auto &[key, slot] : recovered) {
-            auto [block, version, column] = key;
-            UnitKey unit{block, version};
-            if (completed_.count(unit))
-                continue;
-            units[unit][column] = &slot;
-        }
+    std::erase_if(recovered, [&](const UnitSlots::value_type &entry) {
+        return complete_ || completed_.count(entry.first) > 0;
+    });
+    // Rank candidates: exact-index reconstructions from big clusters
+    // first; misprimed amplicons sink to the back (Section 8.1).
+    for (auto &[unit, columns] : recovered) {
+        for (auto &[column, slot] : columns)
+            std::sort(slot.candidates.begin(), slot.candidates.end(),
+                      candidateBefore);
     }
-    std::vector<std::pair<UnitKey,
-                          const std::map<unsigned,
-                                         const RecoveredSlot *> *>>
-        unit_list;
-    unit_list.reserve(units.size());
-    for (const auto &[unit, columns] : units)
-        unit_list.emplace_back(unit, &columns);
-    std::vector<UnitOutcome> outcomes =
-        p.parallelMap<UnitOutcome>(unit_list.size(), [&](size_t u) {
-            const auto &[unit, columns] = unit_list[u];
-            telemetry::SpanHandle span = trace.span("decode.rs_unit");
-            span.attrU64("block", unit.first);
-            span.attrU64("version", unit.second);
-            UnitOutcome outcome = decodeUnitWithFallback(
-                partition_, unit.first, unit.second, *columns);
-            span.attrU64("decoded", outcome.ok ? 1 : 0);
-            span.end();
-            return outcome;
-        });
-    for (size_t u = 0; u < unit_list.size(); ++u) {
-        const UnitKey &unit = unit_list[u].first;
-        UnitOutcome &outcome = outcomes[u];
+    for (UnitOutcome &outcome : decodeUnits(partition_, recovered, p, trace)) {
         ++stats_.units_attempted;
         stats_.candidate_retries += outcome.candidate_retries;
         if (!outcome.ok) {
@@ -826,7 +645,7 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
         stats_.symbol_errors_corrected +=
             outcome.symbol_errors_corrected;
         stats_.erasures_filled += outcome.erasures_filled;
-        emitUnit(unit, std::move(outcome.data), false);
+        emitUnit(outcome.unit, std::move(outcome.data), false);
     }
 
     std::map<uint64_t, BlockVersions> result;

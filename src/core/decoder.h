@@ -17,15 +17,19 @@
  *     descramble;
  *  5. apply each block's update chain in version order.
  *
- * Two entry points share the stages. Decoder::decodeAll is the
- * one-shot path: the whole read set in, every decodable unit out.
- * StreamingDecoder is the incremental path: reads stream in through
- * feed() (as they come off a sequencer) into a running OnlineClusterer
- * and per-cluster consensus state, each RS unit decodes the moment its
- * column coverage suffices, and the session terminates early — further
- * reads are skipped, not processed — once every expected unit is
- * recovered. That makes p50 decode latency proportional to when the
- * file *became* recoverable instead of to the worst-case read budget.
+ * One pipeline implements the stages: StreamingDecoder. Reads stream
+ * in through feed() (as they come off a sequencer) into a running
+ * OnlineClusterer and per-cluster consensus state, and finish()
+ * decodes every unit the accumulated state supports. In eager mode
+ * each RS unit also decodes the moment its column coverage suffices,
+ * and the session terminates early — further reads are skipped, not
+ * processed — once every expected unit is recovered. That makes p50
+ * decode latency proportional to when the file *became* recoverable
+ * instead of to the worst-case read budget.
+ *
+ * Decoder::decodeAll is that pipeline run as a one-chunk deferred
+ * session: the whole read set in through one feed(), every decodable
+ * unit out of finish().
  */
 
 #ifndef DNASTORE_CORE_DECODER_H
@@ -37,7 +41,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -127,28 +130,6 @@ struct BlockVersions
     bool operator==(const BlockVersions &) const = default;
 };
 
-/** One payload candidate recovered for a (block, version, column)
- *  address (step 3's output, step 4's input). */
-struct StrandCandidate
-{
-    Bytes payload;
-
-    /** Reads supporting the reconstruction. */
-    size_t cluster_size = 0;
-
-    /** Tree-walk mismatches of the decoded index; misprimed
-     *  amplicons typically decode with 1-2 mismatches while true
-     *  strands decode exactly, so this ranks candidates. */
-    size_t index_mismatches = 0;
-};
-
-/** All candidates recovered for one address, sorted best-first:
- *  fewest index mismatches, then most supporting reads. */
-struct RecoveredSlot
-{
-    std::vector<StrandCandidate> candidates;
-};
-
 class Decoder
 {
   public:
@@ -157,6 +138,7 @@ class Decoder
     /**
      * Decode every unit present in the reads. Keys are block ids;
      * each entry maps version slots to descrambled unit payloads.
+     * @p stats, when given, is overwritten, not accumulated.
      */
     std::map<uint64_t, BlockVersions> decodeAll(
         const std::vector<sim::Read> &reads,
@@ -168,9 +150,11 @@ class Decoder
      * share one long-lived pool across submissions instead of paying
      * a pool spawn per call; DecoderParams::threads is ignored in
      * favor of the pool's size. Output is byte-identical to the
-     * pool-per-call overload for any pool size.
+     * pool-per-call overload for any pool size. @p stats, when
+     * given, is overwritten, not accumulated.
      *
-     * @p trace parents per-stage spans (decode.primer_filter,
+     * Runs a deferred StreamingDecoder over the whole read set as one
+     * chunk. @p trace parents per-stage spans (decode.primer_filter,
      * decode.cluster, decode.consensus, one decode.rs_unit per RS
      * attempt); the default inactive context records nothing and
      * costs one branch per stage.
@@ -220,12 +204,6 @@ class Decoder
 
     /** Anchor for livenessToken(); dies with the decoder. */
     std::shared_ptr<const void> liveness_ = std::make_shared<int>(0);
-
-    /** Steps 1-3: reads -> per-address payload candidates. */
-    std::map<std::tuple<uint64_t, unsigned, unsigned>, RecoveredSlot>
-    recoverStrands(const std::vector<sim::Read> &reads,
-                   DecodeStats *stats, ThreadPool &pool,
-                   const telemetry::TraceContext &trace = {}) const;
 };
 
 /** Identifies one RS encoding unit: (block, version slot). */
@@ -242,8 +220,9 @@ struct StreamingParams
      *
      * Empty list = deferred mode: feed() only accumulates cluster
      * state (no early RS attempts, no early termination) and
-     * finish() is byte-identical — units AND DecodeStats — to a
-     * one-shot Decoder::decodeAll over the concatenated chunks.
+     * finish() decodes everything at once. Decoder::decodeAll is a
+     * one-chunk deferred session, and the chunking does not change
+     * finish()'s units or DecodeStats.
      */
     std::vector<UnitKey> expected_units;
 
@@ -331,8 +310,8 @@ class StreamingDecoder
 
     /**
      * Finalize the session: decode everything still decodable from
-     * the accumulated state (deferred mode: exactly the one-shot
-     * pipeline over all consumed reads) and return every recovered
+     * the accumulated state (deferred mode: the whole decode of all
+     * consumed reads, as in decodeAll) and return every recovered
      * unit — early-emitted and finish-decoded alike. Expected units
      * that never reached decodability are simply absent from the
      * result (DecodeService::openStream surfaces them with a typed

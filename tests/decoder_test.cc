@@ -164,12 +164,19 @@ TEST_F(DecoderTest, StatsAreCoherent)
     DecoderParams params;
     Decoder decoder(*partition_, params);
     DecodeStats stats;
-    decoder.decodeAll(sequenceWholePool(20 * 15 * 20), &stats);
+    auto reads = sequenceWholePool(20 * 15 * 20);
+    decoder.decodeAll(reads, &stats);
     EXPECT_EQ(stats.reads_in, 20u * 15u * 20u);
     EXPECT_GT(stats.clusters_total, 0u);
     EXPECT_GE(stats.clusters_used, stats.strands_recovered);
     EXPECT_EQ(stats.units_attempted,
               stats.units_decoded + stats.units_failed);
+
+    // The stats are overwritten, not accumulated: decoding the same
+    // reads into a reused DecodeStats reproduces the first result.
+    DecodeStats reused = stats;
+    decoder.decodeAll(reads, &reused);
+    EXPECT_EQ(reused, stats);
 }
 
 TEST_F(DecoderTest, SteadyStateDecodePerformsNoArenaGrowth)

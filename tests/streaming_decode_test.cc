@@ -19,7 +19,11 @@
  *  - DecodeService streams: chunks flow through admission control,
  *    per-unit futures resolve the moment a unit decodes, and the
  *    stream telemetry (reads consumed/skipped, early units,
- *    reads-at-completion histogram) adds up exactly.
+ *    reads-at-completion histogram) adds up exactly;
+ *  - stream shedding: a chunk over its tenant's token bucket resolves
+ *    Throttled and one over a Reject-policy queue bound Overloaded,
+ *    neither reaches the session, and the admission-exempt finish
+ *    marker still resolves every unit future.
  */
 
 #include <algorithm>
@@ -370,6 +374,79 @@ TEST(StreamingDecodeTest, ServiceDeferredStreamMatchesOneShot)
     EXPECT_EQ(registry.snapshot().counters.at(
                   "decode_service.streams_completed_early"),
               0u);
+}
+
+TEST(StreamingDecodeTest, TokenBucketThrottlesChunkButFinishResolves)
+{
+    Leg leg = buildLeg();
+    const auto chunks = chunked(leg.reads);
+    constexpr TenantId kTenant = 7;
+
+    telemetry::MetricsRegistry registry;
+    DecodeServiceParams service_params;
+    service_params.threads = 2;
+    service_params.metrics = &registry;
+    service_params.tenants[kTenant].burst = 1.0;  // rate 0: one chunk
+    DecodeService service(service_params);
+
+    StreamParams params;
+    params.decoder = leg.decoder.get();
+    params.tenant = kTenant;
+    params.expected_units = allBlocksVersionZero();
+    DecodeStream stream = service.openStream(params);
+
+    EXPECT_EQ(stream.feed(chunks[0]).get().status, DecodeStatus::Ok);
+    DecodeOutcome throttled = stream.feed(chunks[1]).get();
+    EXPECT_EQ(throttled.status, DecodeStatus::Throttled);
+    EXPECT_EQ(throttled.stats, DecodeStats{});
+    EXPECT_TRUE(throttled.units.empty());
+
+    // The finish marker is exempt from admission, so the session still
+    // finalizes; one chunk cannot recover every unit.
+    DecodeOutcome final = stream.finish().get();
+    EXPECT_EQ(final.status, DecodeStatus::Partial);
+    EXPECT_EQ(final.stats.reads_in, chunks[0].size());
+    ASSERT_EQ(final.units.count(0), 0u);
+    EXPECT_EQ(stream.unitFuture(0, 0).get().status,
+              UnitStatus::Incomplete);
+
+    telemetry::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counters.at("decode_service.requests_throttled"), 1u);
+    EXPECT_EQ(snap.counters.at(
+                  "decode_service.tenant.7.requests_throttled"),
+              1u);
+    EXPECT_EQ(
+        snap.histograms.at("decode_service.rejected_latency_us").count,
+        1u);
+    // Admitted chunks only: the first chunk and the finish marker.
+    EXPECT_EQ(snap.counters.at("decode_service.stream_chunks"), 2u);
+}
+
+TEST(StreamingDecodeTest, RejectPolicyShedsChunkOverQueueDepth)
+{
+    Leg leg = buildLeg();
+    const auto chunks = chunked(leg.reads);
+
+    DecodeServiceParams service_params;
+    service_params.threads = 2;
+    service_params.max_queue_depth = 1;
+    service_params.overflow = OverflowPolicy::Reject;
+    service_params.start_paused = true;
+    DecodeService service(service_params);
+
+    StreamParams params;
+    params.decoder = leg.decoder.get();
+    DecodeStream stream = service.openStream(params);
+
+    // Dispatch is paused, so the first chunk holds the only slot.
+    std::future<DecodeOutcome> first = stream.feed(chunks[0]);
+    EXPECT_EQ(stream.feed(chunks[1]).get().status,
+              DecodeStatus::Overloaded);
+    service.resumeDispatch();
+    EXPECT_EQ(first.get().status, DecodeStatus::Ok);
+
+    // The shed chunk never reached the session.
+    EXPECT_EQ(stream.finish().get().stats.reads_in, chunks[0].size());
 }
 
 } // namespace
