@@ -2,11 +2,13 @@
  * @file
  * google-benchmark microbenchmarks for the hot paths of the
  * pipeline: outer-code encode/decode, sparse-index generation and
- * decoding, clustering, trace reconstruction, and a PCR cycle.
+ * decoding, clustering, trace reconstruction, a PCR cycle, and a
+ * device's simulated wetlab half (PCR plus sequencing).
  */
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +19,8 @@
 #include "common/thread_pool.h"
 #include "dna/distance.h"
 #include "consensus/bma.h"
+#include "core/block_device.h"
+#include "corpus/text.h"
 #include "ecc/encoding_unit.h"
 #include "ecc/reed_solomon.h"
 #include "index/sparse_index.h"
@@ -275,6 +279,42 @@ BM_PcrReaction(benchmark::State &state)
                             512);
 }
 BENCHMARK(BM_PcrReaction);
+
+/** A written 256-block device at perfbench's PCR penalty, built on
+ *  first use and shared by the device rows. */
+core::BlockDevice &
+sharedDevice()
+{
+    static const std::unique_ptr<core::BlockDevice> device = [] {
+        core::BlockDeviceParams params;
+        params.pcr.mismatch_penalty = 1.0;
+        auto built = std::make_unique<core::BlockDevice>(
+            params, dna::Sequence("ACTGAGGTCTGCCTGAAGTC"),
+            dna::Sequence("TGAACGCGGTATTGCAGACC"));
+        built->writeFile(corpus::generateBytes(
+            256 * params.config.block_data_bytes, 7));
+        return built;
+    }();
+    return *device;
+}
+
+/** The wetlab half of a frontend read: PCR over the device pool and
+ *  sequencing, no decode. A one-block range is exactly a readBlock
+ *  round trip (1,200 reads); 16 blocks is a multiplex range read. */
+void
+BM_DeviceSequenceRange(benchmark::State &state)
+{
+    core::BlockDevice &device = sharedDevice();
+    const auto blocks = static_cast<uint64_t>(state.range(0));
+    uint64_t lo = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            device.sequenceRange(lo, lo + blocks - 1));
+        lo = (lo + blocks) % device.blockCount();
+    }
+}
+BENCHMARK(BM_DeviceSequenceRange)->Arg(1)->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

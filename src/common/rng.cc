@@ -26,37 +26,11 @@ fnv1a(std::string_view text)
     return hash;
 }
 
-namespace {
-
-inline uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(uint64_t seed)
 {
     uint64_t state = seed;
     for (auto &word : s_)
         word = splitMix64(state);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 uint64_t
@@ -87,12 +61,6 @@ Rng::nextInRange(int64_t lo, int64_t hi)
 }
 
 double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
 Rng::nextGaussian()
 {
     if (has_cached_gaussian_) {
@@ -115,12 +83,6 @@ double
 Rng::nextLogNormal(double mu, double sigma)
 {
     return std::exp(mu + sigma * nextGaussian());
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 uint64_t

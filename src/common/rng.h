@@ -34,7 +34,21 @@ class Rng
     explicit Rng(uint64_t seed = 0);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using Lemire rejection. */
     uint64_t nextBelow(uint64_t bound);
@@ -43,7 +57,11 @@ class Rng
     int64_t nextInRange(int64_t lo, int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Standard normal variate (Box-Muller). */
     double nextGaussian();
@@ -52,7 +70,7 @@ class Rng
     double nextLogNormal(double mu, double sigma);
 
     /** Bernoulli trial with success probability p. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Poisson variate (Knuth for small lambda, normal approx above). */
     uint64_t nextPoisson(double lambda);
@@ -79,6 +97,12 @@ class Rng
     static uint64_t deriveSeed(uint64_t seed, uint64_t index);
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
 
     /** Cached second Box-Muller variate. */

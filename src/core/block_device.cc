@@ -28,6 +28,7 @@ BlockDevice::writeFile(const Bytes &data)
     next_overflow_ = partition_.tree().leafCount() - 1;
 
     pool_ = sim::Pool();
+    reverse_sites_ = {};
     sim::SynthesisParams synthesis = params_.synthesis;
     pool_ = sim::synthesize(order, synthesis);
     costs_.recordSynthesis(order.size(), params_.config.strand_length);
@@ -47,6 +48,7 @@ BlockDevice::synthesizeAndMix(
 
     if (pool_.speciesCount() == 0) {
         pool_ = std::move(patch);
+        reverse_sites_ = {};
         return;
     }
     // Concentration-matched mixing (Section 5.5): equalize the
@@ -151,8 +153,8 @@ BlockDevice::roundTrip(const std::vector<sim::PcrPrimer> &primers,
             sim::PcrPrimer{partition_.forwardPrimer(),
                            params_.leftover_primer_concentration});
     }
-    sim::Pool product =
-        sim::runPcr(pool_, all, partition_.reversePrimer(), pcr);
+    sim::Pool product = sim::runPcr(pool_, all, partition_.reversePrimer(),
+                                    pcr, nullptr, &reverse_sites_);
 
     sim::SequencerParams sequencer = params_.sequencer;
     sequencer.seed =
@@ -203,10 +205,18 @@ BlockDevice::resolveBlock(
     Bytes current =
         decoder_.applyUpdateChain(base, it->second, &overflow);
 
+    // Containers are allocated top-down above the data blocks, so
+    // each hop of a real chain lands strictly below the previous
+    // container. Any other pointer is a bad record: the chain ends
+    // at the bytes assembled so far.
+    uint64_t ceiling = partition_.tree().leafCount();
     std::map<uint64_t, BlockVersions> extra = units;
     while (overflow) {
         uint64_t container = *overflow;
         overflow.reset();
+        if (container <= data_blocks_ || container >= ceiling)
+            break;
+        ceiling = container;
         auto container_it = extra.find(container);
         if (container_it == extra.end()) {
             // Overflow hop: one more targeted round trip.
@@ -292,7 +302,7 @@ BlockDevice::sequenceAll()
 
     sim::Pool product = sim::runPcr(
         pool_, {sim::PcrPrimer{partition_.forwardPrimer(), 1.0}},
-        partition_.reversePrimer(), pcr);
+        partition_.reversePrimer(), pcr, nullptr, &reverse_sites_);
     sim::SequencerParams sequencer = params_.sequencer;
     sequencer.seed =
         Rng::deriveSeed(params_.sequencer.seed, costs_.readsSequenced());

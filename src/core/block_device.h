@@ -170,6 +170,11 @@ class BlockDevice
     Partition partition_;
     Decoder decoder_;
     sim::Pool pool_;
+
+    /** pool_'s reverse-primer sites, kept across accesses. Reset
+     *  wherever pool_ is replaced; patches only append to pool_. */
+    sim::ReverseSiteMemo reverse_sites_;
+
     CostModel costs_;
     DecodeStats last_stats_;
 

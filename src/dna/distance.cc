@@ -363,20 +363,25 @@ alignPrimerWeighted(const Sequence &primer, const Sequence &template_seq,
     double *prev = arena.allocArray<double>(n + 1);
     double *curr = arena.allocArray<double>(n + 1);
     std::fill(prev, prev + n + 1, kWeightInfinity);
-    std::fill(curr, curr + n + 1, kWeightInfinity);
     for (size_t j = 0; j <= std::min(n, band); ++j)
         prev[j] = static_cast<double>(j) * gap_factor * weight(0);
+    // Row i writes curr[lo-1 .. hi+1] (the two edge cells infinite
+    // unless curr[0] is a real cost) and row i+1 reads no cell
+    // outside that span, so the rest of the row needs no refill.
     for (size_t i = 1; i <= m; ++i) {
         size_t lo = i > band ? i - band : 1;
         size_t hi = std::min(n, i + band);
         if (lo > hi)
             return result;
-        std::fill(curr, curr + n + 1, kWeightInfinity);
         if (lo == 1 && i <= band) {
             curr[0] = prev[0] == kWeightInfinity
                           ? kWeightInfinity
                           : prev[0] + gap_factor * weight(i - 1);
+        } else {
+            curr[lo - 1] = kWeightInfinity;
         }
+        if (hi < n)
+            curr[hi + 1] = kWeightInfinity;
         for (size_t j = lo; j <= hi; ++j) {
             double sub_cost =
                 p[i - 1] == t[j - 1] ? 0.0 : weight(i - 1);

@@ -110,6 +110,47 @@ struct PcrStats
 };
 
 /**
+ * Each species' reverse-primer site in one pool, indexed like
+ * Pool::species().
+ *
+ * Where (and whether) the reverse primer anneals depends only on the
+ * species' sequence, the reverse primer and the alignment parameters,
+ * never on the forward primers of an access. runPcr() fills the memo
+ * for species indices it has not seen yet and reuses the rest, so
+ * repeated reactions over one pool align the reverse primer once per
+ * species. The outputs are identical with and without a memo.
+ *
+ * Contract:
+ *  - It stays valid while its pool grows only through Pool::add() and
+ *    Pool::mixIn(): they append species or add mass, and never
+ *    reorder species.
+ *  - After Pool::dropBelow(), or for a different pool, start from a
+ *    fresh memo (`memo = {}`). runPcr() resets it by itself only when
+ *    the key below differs or it holds more sites than the pool has
+ *    species.
+ *  - It belongs to whoever owns the pool and is not thread-safe.
+ */
+struct ReverseSiteMemo
+{
+    /** How the reverse primer anneals to one species. */
+    struct Site
+    {
+        bool anneals = false;
+        double weight = 0.0;
+        size_t template_consumed = 0;
+    };
+
+    /** The key the sites were computed under. */
+    dna::Sequence reverse;
+    size_t max_align_dist = 0;
+    size_t three_prime_window = 0;
+    double three_prime_factor = 0.0;
+    double gap_factor = 0.0;
+
+    std::vector<Site> sites;
+};
+
+/**
  * Run a PCR reaction.
  *
  * @param input        the template pool (left unmodified)
@@ -118,10 +159,12 @@ struct PcrStats
  *                     reverse complement to amplify (empty = skip)
  * @param params       reaction parameters
  * @param stats        optional out-param for accounting
+ * @param memo         optional reverse-primer sites of @p input,
+ *                     carried across calls (see ReverseSiteMemo)
  */
 Pool runPcr(const Pool &input, const std::vector<PcrPrimer> &primers,
             const dna::Sequence &reverse, const PcrParams &params,
-            PcrStats *stats = nullptr);
+            PcrStats *stats = nullptr, ReverseSiteMemo *memo = nullptr);
 
 } // namespace dnastore::sim
 

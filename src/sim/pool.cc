@@ -10,13 +10,22 @@ void
 Pool::add(dna::Sequence seq, const SpeciesInfo &info, double mass)
 {
     panicIf(mass < 0.0, "Pool::add: negative mass");
-    auto it = by_sequence_.find(seq.str());
-    if (it != by_sequence_.end()) {
+    auto [it, inserted] =
+        by_sequence_.try_emplace(seq.str(), species_.size());
+    if (!inserted) {
         species_[it->second].mass += mass;
         return;
     }
-    by_sequence_.emplace(seq.str(), species_.size());
     species_.push_back(Species{std::move(seq), info, mass});
+}
+
+std::optional<size_t>
+Pool::indexOf(const dna::Sequence &seq) const
+{
+    auto it = by_sequence_.find(seq.str());
+    if (it == by_sequence_.end())
+        return std::nullopt;
+    return it->second;
 }
 
 double

@@ -16,6 +16,7 @@
 #define DNASTORE_SIM_POOL_H
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -67,6 +68,9 @@ class Pool
 
     const std::vector<Species> &species() const { return species_; }
     size_t speciesCount() const { return species_.size(); }
+
+    /** Index into species() of the species with sequence @p seq. */
+    std::optional<size_t> indexOf(const dna::Sequence &seq) const;
 
     /** Sum of all species masses ("nanodrop measurement"). */
     double totalMass() const;

@@ -1,6 +1,7 @@
 #include "sim/sequencer.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -9,39 +10,37 @@ namespace dnastore::sim {
 
 namespace {
 
-dna::Base
+char
 randomBase(Rng &rng)
 {
-    return static_cast<dna::Base>(rng.nextBelow(4));
+    return dna::baseToChar(static_cast<dna::Base>(rng.nextBelow(4)));
 }
 
-dna::Base
-randomOtherBase(Rng &rng, dna::Base original)
+char
+randomOtherBase(Rng &rng, char original)
 {
     auto offset = static_cast<uint8_t>(1 + rng.nextBelow(3));
-    return static_cast<dna::Base>(
-        (static_cast<uint8_t>(original) + offset) % 4);
+    return dna::baseToChar(static_cast<dna::Base>(
+        (static_cast<uint8_t>(dna::charToBase(original)) + offset) % 4));
 }
 
-dna::Sequence
-applyIdsNoise(const dna::Sequence &seq, const SequencerParams &params,
-              Rng &rng)
+/** Write @p seq through the IDS channel into @p out (cleared first). */
+void
+applyIdsNoise(const std::string &seq, const SequencerParams &params,
+              Rng &rng, std::string &out)
 {
-    std::vector<dna::Base> out;
-    out.reserve(seq.size() + 4);
-    for (size_t i = 0; i < seq.size(); ++i) {
+    out.clear();
+    for (char base : seq) {
         while (params.ins_rate > 0.0 && rng.nextBool(params.ins_rate))
             out.push_back(randomBase(rng));
         if (params.del_rate > 0.0 && rng.nextBool(params.del_rate))
             continue;
-        dna::Base base = seq.baseAt(i);
         if (params.sub_rate > 0.0 && rng.nextBool(params.sub_rate))
             base = randomOtherBase(rng, base);
         out.push_back(base);
     }
     while (params.ins_rate > 0.0 && rng.nextBool(params.ins_rate))
         out.push_back(randomBase(rng));
-    return dna::Sequence(out);
 }
 
 } // namespace
@@ -65,14 +64,17 @@ sequencePool(const Pool &pool, size_t num_reads,
 
     std::vector<Read> reads;
     reads.reserve(num_reads);
+    std::string noisy;
     for (size_t r = 0; r < num_reads; ++r) {
         double u = rng.nextDouble() * total;
         size_t idx = static_cast<size_t>(
             std::lower_bound(cumulative.begin(), cumulative.end(), u) -
             cumulative.begin());
         idx = std::min(idx, pool.speciesCount() - 1);
-        const Species &s = pool.species()[idx];
-        reads.push_back(Read{applyIdsNoise(s.seq, params, rng), idx});
+        applyIdsNoise(pool.species()[idx].seq.str(), params, rng, noisy);
+        // Copied out of the reused buffer, so each read holds
+        // exactly its own length.
+        reads.push_back(Read{dna::Sequence(noisy), idx});
     }
     return reads;
 }

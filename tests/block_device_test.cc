@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <memory>
+#include <utility>
+
 #include "core/block_device.h"
 #include "support/fixtures.h"
 
@@ -173,6 +178,52 @@ TEST_F(BlockDeviceTest, UpdateSynthesisIsTiny)
     EXPECT_EQ(device_.costs().moleculesSynthesized(), before + 15);
 }
 
+UpdateRecord
+overflowPointer(uint64_t container)
+{
+    UpdateRecord pointer;
+    pointer.kind = UpdateRecord::Kind::kOverflowPointer;
+    pointer.overflow_block = container;
+    return pointer;
+}
+
+TEST_F(BlockDeviceTest, OverflowPointerOutsideTheLogIsABadRecord)
+{
+    // A garbage unit that parses as a pointer past the address space
+    // ends the chain; it must not reach blockPrimer() (which throws
+    // on an address with too many base-4 digits).
+    const size_t unit_bytes = smallParams().config.unitDataBytes();
+    std::map<uint64_t, BlockVersions> units;
+    units[3].versions[0] = blockBytes(3);
+    units[3].versions[0].resize(unit_bytes);
+    units[3].versions[1] = overflowPointer(5000).serialize(unit_bytes);
+
+    std::vector<std::optional<Bytes>> blocks;
+    ASSERT_NO_THROW(blocks = device_.assembleRange(3, 3, units));
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0], std::optional<Bytes>(blockBytes(3)));
+}
+
+TEST_F(BlockDeviceTest, OverflowPointerCycleEndsTheChain)
+{
+    // A container whose record points back at itself: every real hop
+    // goes strictly down the overflow log, so this one is refused.
+    const size_t unit_bytes = smallParams().config.unitDataBytes();
+    const uint64_t container = device_.partition().tree().leafCount() - 1;
+    std::map<uint64_t, BlockVersions> units;
+    units[3].versions[0] = blockBytes(3);
+    units[3].versions[0].resize(unit_bytes);
+    units[3].versions[1] =
+        overflowPointer(container).serialize(unit_bytes);
+    units[container].versions[0] =
+        overflowPointer(container).serialize(unit_bytes);
+
+    std::vector<std::optional<Bytes>> blocks =
+        device_.assembleRange(3, 3, units);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0], std::optional<Bytes>(blockBytes(3)));
+}
+
 TEST_F(BlockDeviceTest, InvalidArgumentsThrow)
 {
     EXPECT_THROW(device_.readBlock(24), dnastore::FatalError);
@@ -180,6 +231,240 @@ TEST_F(BlockDeviceTest, InvalidArgumentsThrow)
     EXPECT_THROW(device_.readRange(0, 24), dnastore::FatalError);
     UpdateOp op;
     EXPECT_THROW(device_.updateBlock(99, op), dnastore::FatalError);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins for the simulated wetlab half of a read: the exact PCR
+// product and reads of a 256-block device pool. Any change to a
+// species, its provenance, a mass bit or a read breaks them, so a
+// change meant to keep the simulator's output must pass them as they
+// are.
+
+/** FNV-1a over little-endian fields. */
+class Digest
+{
+  public:
+    void
+    u64(uint64_t value)
+    {
+        for (unsigned i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(value >> (8 * i)));
+    }
+
+    void f64(double value) { u64(std::bit_cast<uint64_t>(value)); }
+
+    void
+    str(const std::string &text)
+    {
+        u64(text.size());
+        for (char c : text)
+            byte(static_cast<uint8_t>(c));
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    uint64_t hash_ = 0xcbf29ce484222325ULL;
+
+    void
+    byte(uint8_t b)
+    {
+        hash_ ^= b;
+        hash_ *= 0x100000001b3ULL;
+    }
+};
+
+uint64_t
+poolDigest(const sim::Pool &pool)
+{
+    Digest digest;
+    for (const sim::Species &s : pool.species()) {
+        digest.str(s.seq.str());
+        digest.u64(s.info.file_id);
+        digest.u64(s.info.block);
+        digest.u64(s.info.version);
+        digest.u64(s.info.column);
+        digest.u64(s.info.misprimed ? 1 : 0);
+        digest.f64(s.mass);
+    }
+    return digest.value();
+}
+
+uint64_t
+readsDigest(const std::vector<sim::Read> &reads)
+{
+    Digest digest;
+    for (const sim::Read &read : reads) {
+        digest.str(read.seq.str());
+        digest.u64(read.species_index);
+    }
+    return digest.value();
+}
+
+/** The reaction BlockDevice runs for a block access. */
+sim::PcrParams
+accessPcr(double penalty)
+{
+    const BlockDeviceParams defaults;
+    sim::PcrParams pcr = defaults.pcr;
+    pcr.mismatch_penalty = penalty;
+    pcr.cycles = defaults.block_access_cycles;
+    pcr.stringency = sim::touchdownSchedule(defaults.touchdown_cycles,
+                                            defaults.block_access_cycles);
+    return pcr;
+}
+
+enum class PrimerSet { kBlock, kBlockWithLeftover, kRange16 };
+
+constexpr uint64_t kGoldenBlock = 37;
+constexpr uint64_t kGoldenRangeLo = 96;
+
+std::vector<sim::PcrPrimer>
+primerSet(const Partition &partition, PrimerSet set)
+{
+    std::vector<sim::PcrPrimer> primers;
+    switch (set) {
+      case PrimerSet::kBlock:
+        primers.push_back({partition.blockPrimer(kGoldenBlock), 1.0});
+        break;
+      case PrimerSet::kBlockWithLeftover:
+        primers.push_back({partition.blockPrimer(kGoldenBlock), 1.0});
+        primers.push_back({partition.forwardPrimer(), 0.18});
+        break;
+      case PrimerSet::kRange16: {
+        std::vector<dna::Sequence> cover = partition.rangePrimers(
+            kGoldenRangeLo, kGoldenRangeLo + 15);
+        double share = 1.0 / static_cast<double>(cover.size());
+        for (dna::Sequence &seq : cover)
+            primers.push_back({std::move(seq), share});
+        break;
+      }
+    }
+    return primers;
+}
+
+class WetlabGoldenTest : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        device_ = test::makeLoadedDevice(BlockDeviceParams{},
+                                         test::corpusBlocks(256));
+    }
+
+    static void TearDownTestSuite() { device_.reset(); }
+
+    static inline std::unique_ptr<BlockDevice> device_;
+};
+
+struct PcrGolden
+{
+    double penalty;
+    PrimerSet set;
+    uint64_t digest;
+    size_t species_out;
+    size_t misprimed_species;
+    uint64_t gain_bits;
+};
+
+TEST_F(WetlabGoldenTest, PcrProductIsPinned)
+{
+    ASSERT_EQ(device_->pool().speciesCount(), 256u * 15u);
+    const PcrGolden goldens[] = {
+        {0.15, PrimerSet::kBlock, 1889216070031425209ULL, 4076, 236,
+         4693291491880170805ULL},
+        {0.15, PrimerSet::kBlockWithLeftover, 234700524576219831ULL,
+         4076, 236, 4693590554724897512ULL},
+        {0.15, PrimerSet::kRange16, 17712281864542470933ULL, 4380, 540,
+         4710624667026637254ULL},
+        {1.0, PrimerSet::kBlock, 3481372622234988518ULL, 3855, 15,
+         4692055525801389653ULL},
+        {1.0, PrimerSet::kBlockWithLeftover, 5884780733365928194ULL,
+         3855, 15, 4692059515307731045ULL},
+        {1.0, PrimerSet::kRange16, 14587905514675893363ULL, 3840, 0,
+         4710624596361442942ULL},
+    };
+    for (const PcrGolden &golden : goldens) {
+        SCOPED_TRACE(testing::Message()
+                     << "penalty " << golden.penalty << " set "
+                     << static_cast<int>(golden.set));
+        sim::PcrStats stats;
+        sim::Pool product = sim::runPcr(
+            device_->pool(),
+            primerSet(device_->partition(), golden.set),
+            device_->partition().reversePrimer(),
+            accessPcr(golden.penalty), &stats);
+        EXPECT_EQ(poolDigest(product), golden.digest);
+        EXPECT_EQ(stats.species_out, golden.species_out);
+        EXPECT_EQ(stats.misprimed_species, golden.misprimed_species);
+        EXPECT_EQ(std::bit_cast<uint64_t>(stats.gain), golden.gain_bits);
+    }
+}
+
+TEST_F(WetlabGoldenTest, ReadsArePinned)
+{
+    const std::pair<double, uint64_t> goldens[] = {
+        {0.15, 8630647969793855072ULL}, {1.0, 8615373344001072363ULL}};
+    for (const auto &[penalty, digest] : goldens) {
+        SCOPED_TRACE(testing::Message() << "penalty " << penalty);
+        sim::Pool product = sim::runPcr(
+            device_->pool(),
+            primerSet(device_->partition(), PrimerSet::kBlock),
+            device_->partition().reversePrimer(), accessPcr(penalty));
+        sim::SequencerParams sequencer;
+        sequencer.seed = 0x5EED;
+        EXPECT_EQ(readsDigest(sim::sequencePool(product, 1200, sequencer)),
+                  digest);
+    }
+}
+
+void
+expectSameProduct(const sim::Pool &got, const sim::PcrStats &got_stats,
+                  const sim::Pool &want, const sim::PcrStats &want_stats)
+{
+    ASSERT_EQ(got.speciesCount(), want.speciesCount());
+    for (size_t i = 0; i < want.speciesCount(); ++i) {
+        const sim::Species &a = got.species()[i];
+        const sim::Species &b = want.species()[i];
+        ASSERT_EQ(a.seq, b.seq) << "species " << i;
+        ASSERT_EQ(a.info, b.info) << "species " << i;
+        ASSERT_EQ(a.mass, b.mass) << "species " << i;
+    }
+    EXPECT_EQ(got_stats.species_out, want_stats.species_out);
+    EXPECT_EQ(got_stats.misprimed_species, want_stats.misprimed_species);
+    EXPECT_EQ(got_stats.gain, want_stats.gain);
+}
+
+TEST(WetlabMemoTest, PersistedMemoMatchesAFreshCallAsThePoolGrows)
+{
+    // Replacement patches of the target and its neighbours only ever
+    // append species, so one memo serves every reaction below.
+    auto device = test::makeLoadedDevice(BlockDeviceParams{},
+                                         test::corpusBlocks(64));
+    const std::vector<sim::PcrPrimer> primers =
+        primerSet(device->partition(), PrimerSet::kBlockWithLeftover);
+    const sim::PcrParams pcr = accessPcr(0.15);
+    sim::ReverseSiteMemo memo;
+    for (unsigned patch = 0; patch <= 12; ++patch) {
+        SCOPED_TRACE(testing::Message() << "patches " << patch);
+        if (patch > 0) {
+            device->replaceBlock(kGoldenBlock - patch % 3,
+                                 Bytes(200, static_cast<uint8_t>(patch)));
+        }
+        const sim::Pool &pool = device->pool();
+        sim::PcrStats with_stats;
+        sim::Pool with = sim::runPcr(pool, primers,
+                                     device->partition().reversePrimer(),
+                                     pcr, &with_stats, &memo);
+        EXPECT_EQ(memo.sites.size(), pool.speciesCount());
+        sim::PcrStats without_stats;
+        sim::Pool without = sim::runPcr(
+            pool, primers, device->partition().reversePrimer(), pcr,
+            &without_stats);
+        expectSameProduct(with, with_stats, without, without_stats);
+    }
+    EXPECT_GT(device->updateCount(kGoldenBlock), 2u);  // overflow hops
 }
 
 } // namespace

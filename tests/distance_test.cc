@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "dna/distance.h"
 
@@ -404,6 +408,130 @@ TEST(WeightedAlignTest, PrimerFarLongerThanTemplateIsInfinite)
         Sequence("ACGTACGT"), Sequence("AC"), 3);
     EXPECT_DOUBLE_EQ(align.cost, kWeightInfinity);
     EXPECT_EQ(align.template_consumed, 0u);
+}
+
+/**
+ * Full-matrix reference for alignPrimerWeighted: the same band rule
+ * (cells with |i - j| <= band over the first min(|t|, m + band)
+ * template bases), recurrence, free template suffix and
+ * first-strict-minimum end, but every row kept and nothing reused.
+ */
+WeightedAlignment
+referenceAlignPrimerWeighted(const Sequence &primer,
+                             const Sequence &template_seq, size_t band,
+                             size_t window, double three_prime_factor,
+                             double gap_factor)
+{
+    WeightedAlignment result;
+    const std::string &p = primer.str();
+    const std::string &t = template_seq.str();
+    const size_t m = p.size();
+    const size_t n = std::min(t.size(), m + band);
+    // A primer base needs at least one template base in its row.
+    if (m > n + band || (m > 0 && n == 0))
+        return result;
+    auto weight = [&](size_t pos) {
+        return pos + window >= m ? three_prime_factor : 1.0;
+    };
+    std::vector<std::vector<double>> cost(
+        m + 1, std::vector<double>(n + 1, kWeightInfinity));
+    for (size_t j = 0; j <= std::min(n, band); ++j)
+        cost[0][j] = static_cast<double>(j) * gap_factor * weight(0);
+    for (size_t i = 1; i <= m; ++i) {
+        const double gap = gap_factor * weight(i - 1);
+        for (size_t j = 0; j <= n; ++j) {
+            if (i > j + band || j > i + band)
+                continue;
+            if (j == 0) {
+                cost[i][0] = cost[i - 1][0] == kWeightInfinity
+                                 ? kWeightInfinity
+                                 : cost[i - 1][0] + gap;
+                continue;
+            }
+            double best = cost[i - 1][j - 1] +
+                          (p[i - 1] == t[j - 1] ? 0.0 : weight(i - 1));
+            best = std::min(best, cost[i - 1][j] + gap);
+            best = std::min(best, cost[i][j - 1] + gap);
+            cost[i][j] = best;
+        }
+    }
+    for (size_t j = m > band ? m - band : 0; j <= n; ++j) {
+        if (cost[m][j] < result.cost) {
+            result.cost = cost[m][j];
+            result.template_consumed = j;
+        }
+    }
+    return result;
+}
+
+/** @p seq with @p edits random substitutions, insertions and
+ *  deletions. */
+Sequence
+mutate(Rng &rng, const Sequence &seq, size_t edits)
+{
+    std::string text = seq.str();
+    for (size_t e = 0; e < edits; ++e) {
+        const char base = "ACGT"[rng.nextBelow(4)];
+        const uint64_t kind = text.empty() ? 1 : rng.nextBelow(3);
+        const size_t pos =
+            static_cast<size_t>(rng.nextBelow(text.size() + 1));
+        if (kind == 0 && pos < text.size())
+            text[pos] = base;
+        else if (kind == 1)
+            text.insert(text.begin() + static_cast<ptrdiff_t>(pos), base);
+        else if (pos < text.size())
+            text.erase(text.begin() + static_cast<ptrdiff_t>(pos));
+    }
+    return Sequence(text);
+}
+
+TEST(WeightedAlignTest, MatchesFullMatrixReference)
+{
+    Rng rng = Rng::deriveStream(0xA119, "weighted-align-reference");
+    size_t finite = 0;
+    for (int c = 0; c < 20000; ++c) {
+        const Sequence primer = randomSeq(rng, rng.nextBelow(41));
+        Sequence templ;
+        if (rng.nextBool(0.7)) {
+            // A near-copy of the primer, then random bases: the
+            // alignments the PCR model actually scores.
+            templ = mutate(rng, primer, rng.nextBelow(6)) +
+                    randomSeq(rng, rng.nextBelow(21));
+            if (templ.size() > 60)
+                templ = templ.substr(0, 60);
+        } else {
+            templ = randomSeq(rng, rng.nextBelow(61));
+        }
+        const size_t band = rng.nextBelow(10);
+        const size_t window = rng.nextBelow(5);
+        double three_prime_factor = 3.0;
+        double gap_factor = 2.5;
+        switch (rng.nextBelow(3)) {
+          case 0:
+            break;  // the alignPrimerWeighted defaults
+          case 1:
+            three_prime_factor = 6.0;  // the PCR model's defaults
+            break;
+          default:
+            three_prime_factor = 0.25 + 8.0 * rng.nextDouble();
+            gap_factor = 0.25 + 4.0 * rng.nextDouble();
+            break;
+        }
+        const WeightedAlignment got = alignPrimerWeighted(
+            primer, templ, band, window, three_prime_factor, gap_factor);
+        const WeightedAlignment want = referenceAlignPrimerWeighted(
+            primer, templ, band, window, three_prime_factor, gap_factor);
+        ASSERT_EQ(got.cost, want.cost)
+            << "case " << c << " primer " << primer.str() << " template "
+            << templ.str() << " band " << band;
+        ASSERT_EQ(got.template_consumed, want.template_consumed)
+            << "case " << c;
+        if (want.cost < kWeightInfinity)
+            ++finite;
+    }
+    // Most cases must produce a real alignment, or the comparison
+    // says little about the recurrence.
+    EXPECT_GT(finite, 10000u);
 }
 
 } // namespace

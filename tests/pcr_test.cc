@@ -225,6 +225,66 @@ TEST(PcrTest, GainReported)
     EXPECT_NEAR(stats.gain, 32.0, 0.5);
 }
 
+void
+expectSamePool(const Pool &got, const Pool &want)
+{
+    ASSERT_EQ(got.speciesCount(), want.speciesCount());
+    for (size_t i = 0; i < want.speciesCount(); ++i) {
+        EXPECT_EQ(got.species()[i].seq, want.species()[i].seq);
+        EXPECT_EQ(got.species()[i].info, want.species()[i].info);
+        EXPECT_EQ(got.species()[i].mass, want.species()[i].mass);
+    }
+}
+
+TEST(PcrTest, ReverseSiteMemoStartsOverForAnotherKeyOrASmallerPool)
+{
+    // Strands end in one of two reverse sites, and some carry a
+    // one-off prefix, so both primers pick out different products.
+    const dna::Sequence primer("ACGTACGTACGTACGTACGT");
+    const dna::Sequence near("ACGTACGTACGTACGTACTT");
+    const dna::Sequence &other_rev = test::primerPair(1).reverse;
+    Pool big;
+    for (int i = 0; i < 8; ++i) {
+        std::string payload = "AAAATTTTGGGGCCCC";
+        payload[0] = "ACGT"[i % 4];
+        const dna::Sequence &rev = i % 2 ? other_rev : kRev;
+        big.add((i % 3 ? primer : near) + dna::Sequence(payload) +
+                    rev.reverseComplement(),
+                info(i), 1.0);
+    }
+    Pool small;
+    small.add(makeStrand(near, "CCCCAAAATTTTGGGG"), info(20), 1.0);
+    small.add(makeStrand(primer, "GGGGCCCCAAAATTTT"), info(21), 1.0);
+
+    PcrParams params;
+    params.cycles = 6;
+    ReverseSiteMemo memo;
+    expectSamePool(runPcr(big, {{primer, 1.0}}, kRev, params, nullptr,
+                          &memo),
+                   runPcr(big, {{primer, 1.0}}, kRev, params));
+    EXPECT_EQ(memo.sites.size(), big.speciesCount());
+
+    // Another reverse primer over the same pool: a different key.
+    expectSamePool(runPcr(big, {{primer, 1.0}}, other_rev, params,
+                          nullptr, &memo),
+                   runPcr(big, {{primer, 1.0}}, other_rev, params));
+    EXPECT_EQ(memo.reverse, other_rev);
+
+    // Another alignment band: a different key again.
+    PcrParams narrow = params;
+    narrow.max_align_dist = 2;
+    expectSamePool(runPcr(big, {{primer, 1.0}}, other_rev, narrow,
+                          nullptr, &memo),
+                   runPcr(big, {{primer, 1.0}}, other_rev, narrow));
+    EXPECT_EQ(memo.max_align_dist, 2u);
+
+    // A pool with fewer species than the memo holds sites.
+    expectSamePool(runPcr(small, {{primer, 1.0}}, kRev, params, nullptr,
+                          &memo),
+                   runPcr(small, {{primer, 1.0}}, kRev, params));
+    EXPECT_EQ(memo.sites.size(), small.speciesCount());
+}
+
 TEST(PcrTest, EmptyPrimerListThrows)
 {
     Pool pool;
