@@ -145,16 +145,14 @@ main(int argc, char **argv)
 
     std::printf("%8s  %10s  %8s  %9s\n", "threads", "seconds",
                 "speedup", "identical");
+    core::Decoder decoder(partition, core::DecoderParams{});
     for (size_t threads : thread_counts) {
-        core::DecoderParams params;
-        params.threads = threads;
-        core::Decoder decoder(partition, params);
-
+        ThreadPool thread_pool(threads);
         std::map<uint64_t, core::BlockVersions> units;
         core::DecodeStats stats;
         double secs = bestOfThree([&] {
             stats = core::DecodeStats{};
-            units = decoder.decodeAll(reads, &stats);
+            units = decoder.decodeAll(reads, &stats, thread_pool);
         });
         seconds.push_back(secs);
 
@@ -209,10 +207,8 @@ main(int argc, char **argv)
         part_reads.push_back(sim::sequencePool(
             part_pool, part_blocks * part_config.rs_n * coverage,
             part_sequencer));
-        core::DecoderParams decoder_params;
-        decoder_params.threads = 1;
         decoders.push_back(std::make_unique<core::Decoder>(
-            *partitions[p], decoder_params));
+            *partitions[p], core::DecoderParams{}));
     }
 
     std::vector<double> batch_seconds;
@@ -380,8 +376,7 @@ main(int argc, char **argv)
                 "vs one-shot", "consumed", "identical");
     for (size_t t = 0; t < std::size(thread_counts); ++t) {
         const size_t threads = thread_counts[t];
-        core::DecoderParams params;
-        params.threads = threads;
+        ThreadPool thread_pool(threads);
         core::StreamingParams streaming;
         for (uint64_t block = 0; block < blocks; ++block)
             streaming.expected_units.push_back(
@@ -390,8 +385,8 @@ main(int argc, char **argv)
         core::DecodeStats stats;
         std::map<uint64_t, core::BlockVersions> units;
         double secs = bestOfThree([&] {
-            core::StreamingDecoder session(partition, params,
-                                           streaming);
+            core::StreamingDecoder session(
+                partition, core::DecoderParams{}, streaming);
             for (size_t i = 0;
                  i < reads.size() && !session.complete();
                  i += kStreamChunk) {
@@ -399,10 +394,10 @@ main(int argc, char **argv)
                     reads.begin() + i,
                     reads.begin() +
                         std::min(reads.size(), i + kStreamChunk));
-                session.feed(chunk);
+                session.feed(chunk, thread_pool);
             }
             stats = core::DecodeStats{};
-            units = session.finish(&stats);
+            units = session.finish(&stats, thread_pool);
         });
         stream_seconds.push_back(secs);
 

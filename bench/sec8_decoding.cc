@@ -59,9 +59,8 @@ main(int argc, char **argv)
     sim::Pool accessed =
         bench::blockAccessPcr(experiment, partition_pool, {target});
 
-    core::DecoderParams params;
-    params.threads = threads;
-    core::Decoder decoder(*experiment.alice, params);
+    ThreadPool thread_pool(threads);
+    core::Decoder decoder(*experiment.alice, core::DecoderParams{});
 
     std::printf("%8s  %8s  %9s  %9s  %8s  %7s\n", "reads", "clusters",
                 "recovered", "units ok", "correct", "updated");
@@ -74,7 +73,7 @@ main(int argc, char **argv)
             sim::sequencePool(accessed, budget, sequencer);
 
         core::DecodeStats stats;
-        auto units = decoder.decodeAll(reads, &stats);
+        auto units = decoder.decodeAll(reads, &stats, thread_pool);
 
         bool has_target = units.count(target) &&
                           units[target].versions.count(0);

@@ -132,9 +132,7 @@ main(int argc, char **argv)
     core::Partition partition(
         config, dna::Sequence("ACTGAGGTCTGCCTGAAGTC"),
         dna::Sequence("TGAACGCGGTATTGCAGACC"), 13);
-    core::DecoderParams decoder_params;
-    decoder_params.threads = 1;
-    core::Decoder decoder(partition, decoder_params);
+    core::Decoder decoder(partition, core::DecoderParams{});
 
     workload::SimulatorParams sp;
     sp.clock = workload::SimulatorParams::Clock::Virtual;

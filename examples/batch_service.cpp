@@ -49,7 +49,7 @@ main()
     std::printf("=== DecodeService batch decode ===\n\n");
 
     // Encode one file per partition (per-block encoding fans out over
-    // EncodeParams::threads workers) and sequence each pool.
+    // the process-wide ThreadPool::shared()) and sequence each pool.
     std::vector<std::unique_ptr<core::Partition>> partitions;
     std::vector<std::unique_ptr<core::Decoder>> decoders;
     std::vector<core::Bytes> files;
@@ -65,11 +65,10 @@ main()
         files.push_back(corpus::generateBytes(
             kBlocks * config.block_data_bytes, 77 + p));
 
-        core::EncodeParams encode;  // threads = 0: all cores
         sim::SynthesisParams synthesis;
         synthesis.seed = 1 + p;
         sim::Pool pool = sim::synthesize(
-            partitions[p]->encodeFile(files[p], encode), synthesis);
+            partitions[p]->encodeFile(files[p]), synthesis);
 
         sim::SequencerParams sequencer;
         sequencer.sub_rate = 0.01;

@@ -12,11 +12,13 @@
  * (tests/arena_test.cc pins this with an operator-new counter).
  *
  * Ownership & determinism: arenas are thread_local, so each
- * ThreadPool worker slot owns exactly one (pool workers are
- * long-lived threads). Scratch contents never escape an ArenaScope
- * and never cross threads, so arena reuse cannot perturb the decode
- * pipeline's byte-identical-for-any-thread-count (and any-ISA)
- * contract.
+ * ThreadPool worker owns exactly one, and it lives as long as the
+ * worker. Decodes and encodes run on long-lived pools — the
+ * process-wide ThreadPool::shared() unless the caller passes its own,
+ * as DecodeService does — so arenas warmed by one call serve the
+ * next. Scratch contents never escape an ArenaScope and never cross
+ * threads, so arena reuse cannot perturb the decode pipeline's
+ * byte-identical-for-any-thread-count (and any-ISA) contract.
  */
 
 #ifndef DNASTORE_COMMON_ARENA_H

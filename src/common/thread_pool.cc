@@ -30,6 +30,13 @@ ThreadPool::resolveThreadCount(size_t requested)
     return std::max<size_t>(1, hw);
 }
 
+ThreadPool &
+ThreadPool::shared()
+{
+    static ThreadPool *const pool = new ThreadPool();
+    return *pool;
+}
+
 ThreadPool::ThreadPool(size_t threads)
 {
     size_t resolved = resolveThreadCount(threads);

@@ -81,6 +81,22 @@ class ThreadPool
     static size_t resolveThreadCount(size_t requested);
 
     /**
+     * The process-wide pool of hardware_concurrency() workers that
+     * every decode and encode entry point uses when it is handed no
+     * pool. Built on first use, so a process that never encodes or
+     * decodes without an explicit pool spawns no extra threads; the
+     * first use may race from any number of threads. Its workers
+     * persist for the life of the process, and with them their
+     * thread-local arenas.
+     *
+     * Never destroyed: an exit-time destructor would run after the
+     * exiting thread's thread-locals (the lock-rank stack among them)
+     * are gone, and would have to join workers that a concurrent
+     * caller may still be using.
+     */
+    static ThreadPool &shared();
+
+    /**
      * Run body(i) for every i in [0, n), blocking until all
      * iterations finish. Iterations may run on any thread in any
      * order; the first exception thrown by the body is rethrown here

@@ -21,7 +21,7 @@ void
 BlockDevice::writeFile(const Bytes &data)
 {
     std::vector<sim::DesignedMolecule> order =
-        partition_.encodeFile(data, params_.encode);
+        partition_.encodeFile(data);
     data_blocks_ = partition_.blocksFor(data.size());
     update_counts_.clear();
     overflow_chain_.clear();
@@ -171,7 +171,8 @@ BlockDevice::decodeReads(std::vector<sim::Read> reads,
                          const telemetry::TraceContext &trace)
 {
     if (!service)
-        return decoder_.decodeAll(reads, stats, trace);
+        return decoder_.decodeAll(reads, stats, ThreadPool::shared(),
+                                  trace);
     DecodeOutcome outcome =
         service->submit(decoder_, std::move(reads), tenant, trace)
             .get();
@@ -198,12 +199,10 @@ BlockDevice::resolveBlock(
     auto base_it = it->second.versions.find(0);
     if (base_it == it->second.versions.end())
         return std::nullopt;
-    Bytes base = base_it->second;
-    base.resize(params_.config.block_data_bytes);
 
     std::optional<uint64_t> overflow;
     Bytes current =
-        decoder_.applyUpdateChain(base, it->second, &overflow);
+        decoder_.applyUpdateChain(base_it->second, it->second, &overflow);
 
     // Containers are allocated top-down above the data blocks, so
     // each hop of a real chain lands strictly below the previous
@@ -213,7 +212,6 @@ BlockDevice::resolveBlock(
     std::map<uint64_t, BlockVersions> extra = units;
     while (overflow) {
         uint64_t container = *overflow;
-        overflow.reset();
         if (container <= data_blocks_ || container >= ceiling)
             break;
         ceiling = container;
@@ -234,26 +232,8 @@ BlockDevice::resolveBlock(
                 return std::nullopt;  // overflow data unrecoverable
         }
         // Containers hold records in every slot (0..2, 3 = pointer).
-        for (unsigned v = 0; v < index::SparseIndexTree::kVersionSlots;
-             ++v) {
-            auto slot = container_it->second.versions.find(v);
-            if (slot == container_it->second.versions.end())
-                break;
-            std::optional<UpdateRecord> record =
-                UpdateRecord::deserialize(slot->second);
-            if (!record)
-                break;
-            if (record->kind == UpdateRecord::Kind::kInline) {
-                current = record->op.apply(
-                    current, params_.config.block_data_bytes);
-            } else if (record->kind == UpdateRecord::Kind::kReplace) {
-                current = record->replacement;
-                current.resize(params_.config.block_data_bytes, 0);
-            } else {
-                overflow = record->overflow_block;
-                break;
-            }
-        }
+        current = decoder_.applyUpdateChain(
+            current, container_it->second, &overflow, 0);
     }
     return current;
 }

@@ -48,7 +48,6 @@ struct BlockDeviceParams
     sim::PcrParams pcr;
     sim::SequencerParams sequencer;
     DecoderParams decoder;
-    EncodeParams encode;
     CostParams costs;
 
     /** Reads sequenced for a single-block access. */

@@ -791,7 +791,7 @@ DecodeService::runStreamItem(Item &item, DecodeOutcome &outcome)
     const DecodeStats before = stream.session->stats();
     if (item.stream_finish) {
         outcome.units =
-            stream.session->finish(&outcome.stats, &pool_, item.ctx);
+            stream.session->finish(&outcome.stats, pool_, item.ctx);
         // Expected units the session never recovered resolve with a
         // typed Incomplete result, and the finish outcome reports
         // Partial.
@@ -813,7 +813,7 @@ DecodeService::runStreamItem(Item &item, DecodeOutcome &outcome)
     } else {
         const std::vector<sim::Read> &reads = item.request.reads;
         const size_t consumed =
-            stream.session->feed(reads, &pool_, item.ctx);
+            stream.session->feed(reads, pool_, item.ctx);
         outcome.stats = stream.session->stats();
         outcome.status = (consumed == 0 && !reads.empty())
                              ? DecodeStatus::Skipped

@@ -3,10 +3,11 @@
  * DecodeService: asynchronous batch decoding over one shared pool,
  * with per-tenant admission control, fair scheduling, and telemetry.
  *
- * Decoder::decodeAll is synchronous and spawns a fresh ThreadPool per
- * call; a device serving heavy traffic instead wants to enqueue work
- * (a batch of read sets, one per partition) and collect futures. The
- * service owns one long-lived ThreadPool and per-tenant submission
+ * Decoder::decodeAll is synchronous: it blocks its caller while the
+ * stages fork on a pool (ThreadPool::shared() by default). A device
+ * serving heavy traffic instead wants to enqueue work (a batch of
+ * read sets, one per partition) and collect futures. The service
+ * owns its own long-lived ThreadPool and per-tenant submission
  * queues drained by a weighted-deficit-round-robin dispatcher:
  *
  *  - a batch's per-partition jobs are sharded across the pool and run

@@ -178,30 +178,18 @@ Decoder::Decoder(const Partition &partition, DecoderParams params)
 
 std::map<uint64_t, BlockVersions>
 Decoder::decodeAll(const std::vector<sim::Read> &reads,
-                   DecodeStats *stats,
-                   const telemetry::TraceContext &trace) const
-{
-    // Clamp the pool to the workload: a decode of a handful of reads
-    // must not spawn hardware_concurrency threads just to join them.
-    ThreadPool pool(
-        std::min(ThreadPool::resolveThreadCount(params_.threads),
-                 std::max<size_t>(1, reads.size())));
-    return decodeAll(reads, stats, pool, trace);
-}
-
-std::map<uint64_t, BlockVersions>
-Decoder::decodeAll(const std::vector<sim::Read> &reads,
                    DecodeStats *stats, ThreadPool &pool,
                    const telemetry::TraceContext &trace) const
 {
     StreamingDecoder session(partition_, params_);
-    session.feed(reads, &pool, trace);
-    return session.finish(stats, &pool, trace);
+    session.feed(reads, pool, trace);
+    return session.finish(stats, pool, trace);
 }
 
 Bytes
 Decoder::applyUpdateChain(const Bytes &base, const BlockVersions &chain,
-                          std::optional<uint64_t> *overflow_block) const
+                          std::optional<uint64_t> *overflow_block,
+                          unsigned first_slot) const
 {
     const PartitionConfig &config = partition_.config();
     Bytes current = base;
@@ -209,7 +197,7 @@ Decoder::applyUpdateChain(const Bytes &base, const BlockVersions &chain,
     if (overflow_block)
         overflow_block->reset();
 
-    for (unsigned version = 1;
+    for (unsigned version = first_slot;
          version < index::SparseIndexTree::kVersionSlots; ++version) {
         auto it = chain.versions.find(version);
         if (it == chain.versions.end())
@@ -239,9 +227,11 @@ Decoder::applyUpdateChain(const Bytes &base, const BlockVersions &chain,
 std::optional<Bytes>
 Decoder::decodeBlock(const std::vector<sim::Read> &reads, uint64_t block,
                      DecodeStats *stats,
-                     std::optional<uint64_t> *overflow_block) const
+                     std::optional<uint64_t> *overflow_block,
+                     ThreadPool &pool) const
 {
-    std::map<uint64_t, BlockVersions> all = decodeAll(reads, stats);
+    std::map<uint64_t, BlockVersions> all =
+        decodeAll(reads, stats, pool);
     auto it = all.find(block);
     if (it == all.end())
         return std::nullopt;
@@ -268,23 +258,9 @@ StreamingDecoder::StreamingDecoder(const Partition &partition,
         expected_remaining_.insert(unit);
 }
 
-StreamingDecoder::~StreamingDecoder() = default;
-
-ThreadPool &
-StreamingDecoder::resolvePool(ThreadPool *pool)
-{
-    if (pool)
-        return *pool;
-    if (!own_pool_) {
-        own_pool_ = std::make_unique<ThreadPool>(
-            ThreadPool::resolveThreadCount(params_.threads));
-    }
-    return *own_pool_;
-}
-
 size_t
 StreamingDecoder::feed(const std::vector<sim::Read> &reads,
-                       ThreadPool *pool,
+                       ThreadPool &pool,
                        const telemetry::TraceContext &trace)
 {
     fatalIf(finished_, "StreamingDecoder::feed after finish()");
@@ -297,7 +273,6 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
         return 0;
     }
     stats_.reads_consumed += reads.size();
-    ThreadPool &p = resolvePool(pool);
 
     // Step 1: primer filter. The keep/drop decision for a read
     // depends only on that read, so the alignments fan out across the
@@ -312,7 +287,7 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
     Arena &arena = Arena::scratch();
     ArenaScope keep_scope(arena);
     uint8_t *keep = arena.allocArray<uint8_t>(reads.size());
-    p.parallelFor(reads.size(), [&](size_t i) {
+    pool.parallelFor(reads.size(), [&](size_t i) {
         dna::PrefixAlignment align = dna::alignPrimerToPrefix(
             stem, reads[i].seq, params_.primer_match_dist);
         keep[i] = align.distance != dna::kDistanceInfinity;
@@ -332,7 +307,7 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
 
     // Step 2: online clustering — the chunk joins the running index.
     telemetry::SpanHandle cluster_span = trace.span("decode.cluster");
-    std::vector<size_t> joined = clusterer_.assignBatch(filtered, &p);
+    std::vector<size_t> joined = clusterer_.assignBatch(filtered, &pool);
     views_.resize(clusterer_.clusters().size());
     cluster_span.attrU64("clusters", clusterer_.clusters().size());
     cluster_span.end();
@@ -356,9 +331,9 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
     if (usable.empty())
         return reads.size();
 
-    std::set<UnitKey> changed = refreshClusters(usable, p, trace);
+    std::set<UnitKey> changed = refreshClusters(usable, pool, trace);
     const bool was_complete = complete_;
-    attemptUnits(changed, p, trace);
+    attemptUnits(changed, pool, trace);
     // The chunk that recovers the last expected unit flips the
     // session complete — the point every later read gets skipped.
     if (!was_complete && complete_)
@@ -555,12 +530,11 @@ StreamingDecoder::emitUnit(const UnitKey &unit, Bytes payload,
 }
 
 std::map<uint64_t, BlockVersions>
-StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
+StreamingDecoder::finish(DecodeStats *stats, ThreadPool &pool,
                          const telemetry::TraceContext &trace)
 {
     fatalIf(finished_, "StreamingDecoder::finish called twice");
     finished_ = true;
-    ThreadPool &p = resolvePool(pool);
 
     // Bring consensus up to date for every usable cluster that grew
     // since its last refresh. Deferred mode: that is all of them, so
@@ -577,7 +551,7 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
                 stale.push_back(c);
         }
         if (!stale.empty())
-            refreshClusters(stale, p, trace);
+            refreshClusters(stale, pool, trace);
     }
 
     // Step 3: assemble per-address candidate slots from the clusters
@@ -634,7 +608,8 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
             std::sort(slot.candidates.begin(), slot.candidates.end(),
                       candidateBefore);
     }
-    for (UnitOutcome &outcome : decodeUnits(partition_, recovered, p, trace)) {
+    for (UnitOutcome &outcome :
+         decodeUnits(partition_, recovered, pool, trace)) {
         ++stats_.units_attempted;
         stats_.candidate_retries += outcome.candidate_retries;
         if (!outcome.ok) {

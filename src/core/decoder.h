@@ -45,15 +45,12 @@
 #include <vector>
 
 #include "cluster/clusterer.h"
+#include "common/thread_pool.h"
 #include "consensus/bma.h"
 #include "core/partition.h"
 #include "core/update.h"
 #include "sim/sequencer.h"
 #include "telemetry/trace.h"
-
-namespace dnastore {
-class ThreadPool;
-}
 
 namespace dnastore::core {
 
@@ -77,12 +74,6 @@ struct DecoderParams
     /** Keep up to this many alternate candidates per address for the
      *  recursive decode fallback (Section 8.1). */
     size_t max_candidates_per_address = 3;
-
-    /** Worker threads for the decode pipeline (0 = use
-     *  hardware_concurrency). The primer filter, MinHash signatures,
-     *  per-cluster consensus and per-unit RS decodes fan out across
-     *  the pool; results are byte-identical for any thread count. */
-    size_t threads = 0;
 };
 
 /** Counters reported by a decode run. */
@@ -139,19 +130,11 @@ class Decoder
      * Decode every unit present in the reads. Keys are block ids;
      * each entry maps version slots to descrambled unit payloads.
      * @p stats, when given, is overwritten, not accumulated.
-     */
-    std::map<uint64_t, BlockVersions> decodeAll(
-        const std::vector<sim::Read> &reads,
-        DecodeStats *stats = nullptr,
-        const telemetry::TraceContext &trace = {}) const;
-
-    /**
-     * decodeAll through a caller-owned pool. Used by DecodeService to
-     * share one long-lived pool across submissions instead of paying
-     * a pool spawn per call; DecoderParams::threads is ignored in
-     * favor of the pool's size. Output is byte-identical to the
-     * pool-per-call overload for any pool size. @p stats, when
-     * given, is overwritten, not accumulated.
+     *
+     * The primer filter, MinHash signatures, per-cluster consensus
+     * and per-unit RS decodes fan out across @p pool: the process's
+     * ThreadPool::shared() by default, DecodeService's own pool on
+     * the service path. Output is byte-identical for any pool size.
      *
      * Runs a deferred StreamingDecoder over the whole read set as one
      * chunk. @p trace parents per-stage spans (decode.primer_filter,
@@ -160,8 +143,9 @@ class Decoder
      * costs one branch per stage.
      */
     std::map<uint64_t, BlockVersions> decodeAll(
-        const std::vector<sim::Read> &reads, DecodeStats *stats,
-        ThreadPool &pool,
+        const std::vector<sim::Read> &reads,
+        DecodeStats *stats = nullptr,
+        ThreadPool &pool = ThreadPool::shared(),
         const telemetry::TraceContext &trace = {}) const;
 
     /**
@@ -169,21 +153,28 @@ class Decoder
      * chain applied in slot order. Returns nullopt if version 0 is
      * not decodable. If the chain ends in an overflow pointer, the
      * pointer is reported through @p overflow_block (the caller must
-     * fetch that block in another round trip).
+     * fetch that block in another round trip). The decode runs on
+     * @p pool, as in decodeAll.
      */
     std::optional<Bytes> decodeBlock(
         const std::vector<sim::Read> &reads, uint64_t block,
         DecodeStats *stats = nullptr,
-        std::optional<uint64_t> *overflow_block = nullptr) const;
+        std::optional<uint64_t> *overflow_block = nullptr,
+        ThreadPool &pool = ThreadPool::shared()) const;
 
     /**
      * Apply a decoded update chain to base contents. Versions must
-     * be the descrambled unit payloads of one block. Returns the
-     * updated block contents and optionally the overflow pointer.
+     * be the descrambled unit payloads of one block. Records are
+     * read from slot @p first_slot up: 1 for a block's own chain,
+     * whose slot 0 is the base, and 0 for an overflow container,
+     * whose every slot holds a record. The chain ends at the first
+     * missing or unparsable slot, or at an overflow pointer. Returns
+     * the updated block contents and optionally the overflow pointer.
      */
     Bytes applyUpdateChain(
         const Bytes &base, const BlockVersions &chain,
-        std::optional<uint64_t> *overflow_block = nullptr) const;
+        std::optional<uint64_t> *overflow_block = nullptr,
+        unsigned first_slot = 1) const;
 
     const Partition &partition() const { return partition_; }
     const DecoderParams &params() const { return params_; }
@@ -283,7 +274,6 @@ class StreamingDecoder
   public:
     StreamingDecoder(const Partition &partition, DecoderParams params,
                      StreamingParams streaming = {});
-    ~StreamingDecoder();
 
     StreamingDecoder(const StreamingDecoder &) = delete;
     StreamingDecoder &operator=(const StreamingDecoder &) = delete;
@@ -295,14 +285,13 @@ class StreamingDecoder
      * emitted through StreamingParams::on_unit before feed returns.
      * Throws FatalError after finish().
      *
-     * @p pool serves the chunk's internal parallel stages; nullptr
-     * uses a session-owned pool of DecoderParams::threads workers.
+     * @p pool serves the chunk's internal parallel stages.
      * @p trace parents the chunk's stage spans (same taxonomy as
      * Decoder::decodeAll, plus a decode.early_termination event the
      * moment the last expected unit decodes).
      */
     size_t feed(const std::vector<sim::Read> &reads,
-                ThreadPool *pool = nullptr,
+                ThreadPool &pool = ThreadPool::shared(),
                 const telemetry::TraceContext &trace = {});
 
     /** True once every expected unit has decoded (eager mode). */
@@ -318,7 +307,8 @@ class StreamingDecoder
      * per-unit status). Single-shot: a second call throws.
      */
     std::map<uint64_t, BlockVersions> finish(
-        DecodeStats *stats = nullptr, ThreadPool *pool = nullptr,
+        DecodeStats *stats = nullptr,
+        ThreadPool &pool = ThreadPool::shared(),
         const telemetry::TraceContext &trace = {});
 
     bool finished() const { return finished_; }
@@ -349,8 +339,6 @@ class StreamingDecoder
         Bytes payload;
         size_t index_mismatches = 0;
     };
-
-    ThreadPool &resolvePool(ThreadPool *pool);
 
     /** Recompute consensus for @p cluster_ids (ascending), refresh
      *  their views, and collect the unit keys whose column maps
@@ -389,9 +377,6 @@ class StreamingDecoder
     bool complete_ = false;
     bool finished_ = false;
     DecodeStats stats_;
-
-    /** Lazily created when feed()/finish() get no external pool. */
-    std::unique_ptr<ThreadPool> own_pool_;
 };
 
 } // namespace dnastore::core

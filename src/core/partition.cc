@@ -1,7 +1,5 @@
 #include "core/partition.h"
 
-#include <optional>
-
 #include "codec/base_codec.h"
 #include "common/thread_pool.h"
 #include "core/layout.h"
@@ -32,8 +30,7 @@ Partition::blocksFor(size_t data_size) const
 }
 
 std::vector<sim::DesignedMolecule>
-Partition::encodeFile(const Bytes &data, const EncodeParams &params,
-                      ThreadPool *pool) const
+Partition::encodeFile(const Bytes &data, ThreadPool &pool) const
 {
     uint64_t blocks = blocksFor(data.size());
     fatalIf(blocks > tree_.leafCount(),
@@ -44,16 +41,8 @@ Partition::encodeFile(const Bytes &data, const EncodeParams &params,
     // tree are all stateless per call), so per-block encoding fans
     // out; the slots are concatenated in block order below, keeping
     // the molecule stream byte-identical to the sequential path.
-    std::optional<ThreadPool> local;
-    if (!pool && blocks > 1) {
-        size_t want =
-            std::min(ThreadPool::resolveThreadCount(params.threads),
-                     static_cast<size_t>(blocks));
-        if (want > 1)
-            pool = &local.emplace(want);
-    }
     std::vector<std::vector<sim::DesignedMolecule>> per_block(blocks);
-    parallelFor(pool, blocks, [&](size_t block) {
+    pool.parallelFor(blocks, [&](size_t block) {
         size_t offset = block * config_.block_data_bytes;
         size_t len =
             std::min(config_.block_data_bytes, data.size() - offset);

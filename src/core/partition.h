@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "codec/scrambler.h"
+#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/update.h"
 #include "ecc/encoding_unit.h"
@@ -23,23 +24,7 @@
 #include "primer/elongation.h"
 #include "sim/synthesis.h"
 
-namespace dnastore {
-class ThreadPool;
-}
-
 namespace dnastore::core {
-
-/** Encode-path parallelism knobs. */
-struct EncodeParams
-{
-    /** Worker threads for encodeFile's per-block unit construction
-     *  and molecule design (0 = hardware concurrency). Every value
-     *  produces byte-identical molecules in the same order: blocks
-     *  fan out across the pool and are concatenated in block order,
-     *  and per-block encoding is pure (scrambler keystreams and
-     *  index-tree plans are recomputed per call from seeds). */
-    size_t threads = 0;
-};
 
 class Partition
 {
@@ -67,15 +52,15 @@ class Partition
      * (zero-padding the tail), assigns block i to leaf i, and
      * returns all designed molecules in block order.
      *
-     * Per-block encoding fans out over @p pool when given one (the
-     * shared-pool path used by services and benches), else over a
-     * local pool of params.threads workers clamped to the block
-     * count. Molecules are byte-identical to the sequential path for
-     * any thread count.
+     * Blocks fan out over @p pool, the process's ThreadPool::shared()
+     * by default, and are concatenated in block order. Per-block
+     * encoding is pure (scrambler keystreams and index-tree plans are
+     * recomputed per call from seeds), so the molecules are
+     * byte-identical, in the same order, for any pool size.
      */
     std::vector<sim::DesignedMolecule> encodeFile(
-        const Bytes &data, const EncodeParams &params = {},
-        ThreadPool *pool = nullptr) const;
+        const Bytes &data,
+        ThreadPool &pool = ThreadPool::shared()) const;
 
     /**
      * Encode one block's payload as the given version slot (0 for

@@ -115,7 +115,8 @@ PoolManager::decodeReads(const FileState &state,
                          const telemetry::TraceContext &trace) const
 {
     if (!service)
-        return state.decoder->decodeAll(reads, stats, trace);
+        return state.decoder->decodeAll(reads, stats,
+                                        ThreadPool::shared(), trace);
     DecodeOutcome outcome =
         service
             ->submit(*state.decoder, std::move(reads), tenant, trace)

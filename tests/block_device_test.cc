@@ -224,6 +224,36 @@ TEST_F(BlockDeviceTest, OverflowPointerCycleEndsTheChain)
     EXPECT_EQ(blocks[0], std::optional<Bytes>(blockBytes(3)));
 }
 
+TEST_F(BlockDeviceTest, ReplaceInsideOverflowContainerApplies)
+{
+    // A container's slot 0 holds a record too, not a base: here a
+    // whole-block replacement, then an inline insert in slot 1.
+    const size_t unit_bytes = smallParams().config.unitDataBytes();
+    const uint64_t container = device_.partition().tree().leafCount() - 1;
+    UpdateRecord replace;
+    replace.kind = UpdateRecord::Kind::kReplace;
+    replace.replacement = Bytes(256, '#');
+    UpdateRecord insert;
+    insert.kind = UpdateRecord::Kind::kInline;
+    insert.op.insert_pos = 0;
+    insert.op.insert_bytes = {'Z'};
+
+    std::map<uint64_t, BlockVersions> units;
+    units[3].versions[0] = blockBytes(3);
+    units[3].versions[0].resize(unit_bytes);
+    units[3].versions[1] =
+        overflowPointer(container).serialize(unit_bytes);
+    units[container].versions[0] = replace.serialize(unit_bytes);
+    units[container].versions[1] = insert.serialize(unit_bytes);
+
+    Bytes expected(256, '#');
+    expected[0] = 'Z';
+    std::vector<std::optional<Bytes>> blocks =
+        device_.assembleRange(3, 3, units);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0], std::optional<Bytes>(expected));
+}
+
 TEST_F(BlockDeviceTest, InvalidArgumentsThrow)
 {
     EXPECT_THROW(device_.readBlock(24), dnastore::FatalError);

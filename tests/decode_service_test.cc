@@ -70,14 +70,13 @@ class DecodeServiceTest : public ::testing::Test
                 pool, kBlocks * partitions_[p]->config().rs_n * kCoverage,
                 sequencer));
 
-            DecoderParams params;
-            params.threads = 1;
-            decoders_.push_back(
-                std::make_unique<Decoder>(*partitions_[p], params));
+            decoders_.push_back(std::make_unique<Decoder>(
+                *partitions_[p], DecoderParams{}));
 
+            ThreadPool sequential(1);
             DecodeOutcome outcome;
-            outcome.units =
-                decoders_[p]->decodeAll(reads_[p], &outcome.stats);
+            outcome.units = decoders_[p]->decodeAll(
+                reads_[p], &outcome.stats, sequential);
             EXPECT_EQ(outcome.stats.units_decoded, kBlocks);
             golden_.push_back(std::move(outcome));
         }
@@ -447,7 +446,6 @@ TEST_F(DecodeServiceTest, DecoderDestroyedWhileQueuedIsCaught)
         service.submit(*decoders_[0], reads_[0]);
 
     DecoderParams decoder_params;
-    decoder_params.threads = 1;
     auto doomed = std::make_unique<Decoder>(*partitions_[1],
                                             decoder_params);
     std::future<DecodeOutcome> orphan =

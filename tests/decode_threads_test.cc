@@ -2,16 +2,19 @@
  * @file
  * Thread-invariance golden tests: the decode pipeline must produce
  * byte-identical output — decoded units AND DecodeStats counters —
- * for any DecoderParams::threads value. This is the contract that
- * lets the pipeline scale across cores without perturbing a single
- * result, and it guards every parallel stage (primer filter, MinHash
- * signatures, per-cluster BMA, per-unit RS decode).
+ * for any pool it runs on. This is the contract that lets the
+ * pipeline scale across cores without perturbing a single result,
+ * and it guards every parallel stage (primer filter, MinHash
+ * signatures, per-cluster BMA, per-unit RS decode). The sweeps use
+ * explicit pools, so they fork on a 1-core host too.
  */
 
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/decoder.h"
 #include "sim/pcr.h"
 #include "sim/synthesis.h"
@@ -39,8 +42,11 @@ class DecodeThreadsTest : public ::testing::Test
             std::make_unique<Partition>(config_, kFwd, kRev, 13);
         data_ = test::corpusBlocks(20, 77);
         sim::SynthesisParams synthesis;
-        pool_ = sim::synthesize(partition_->encodeFile(data_),
-                                synthesis);
+        // An explicit pool leaves ThreadPool::shared() unbuilt, so
+        // ConcurrentCallersShareTheProcessPool races its first use.
+        ThreadPool sequential(1);
+        pool_ = sim::synthesize(
+            partition_->encodeFile(data_, sequential), synthesis);
     }
 
     std::vector<sim::Read>
@@ -58,22 +64,19 @@ class DecodeThreadsTest : public ::testing::Test
 TEST_F(DecodeThreadsTest, DecodeAllIsByteIdenticalAcrossThreadCounts)
 {
     std::vector<sim::Read> reads = noisyReads(20 * 15 * 25);
+    Decoder decoder(*partition_, DecoderParams{});
 
-    DecoderParams baseline_params;
-    baseline_params.threads = 1;
-    Decoder baseline(*partition_, baseline_params);
+    ThreadPool sequential(1);
     DecodeStats baseline_stats;
     std::map<uint64_t, BlockVersions> baseline_units =
-        baseline.decodeAll(reads, &baseline_stats);
+        decoder.decodeAll(reads, &baseline_stats, sequential);
     ASSERT_EQ(baseline_stats.units_decoded, 20u);
 
     for (size_t threads : {2u, 8u}) {
-        DecoderParams params;
-        params.threads = threads;
-        Decoder decoder(*partition_, params);
+        ThreadPool pool(threads);
         DecodeStats stats;
         std::map<uint64_t, BlockVersions> units =
-            decoder.decodeAll(reads, &stats);
+            decoder.decodeAll(reads, &stats, pool);
         EXPECT_EQ(units, baseline_units) << "threads=" << threads;
         EXPECT_EQ(stats, baseline_stats) << "threads=" << threads;
     }
@@ -98,13 +101,13 @@ TEST_F(DecodeThreadsTest, UpdateChainDecodeIsThreadInvariant)
                     (patch.totalMass() / patch.speciesCount()));
 
     std::vector<sim::Read> reads = noisyReads(21 * 15 * 25);
+    Decoder decoder(*partition_, DecoderParams{});
 
     std::optional<Bytes> baseline;
     for (size_t threads : {1u, 2u, 8u}) {
-        DecoderParams params;
-        params.threads = threads;
-        Decoder decoder(*partition_, params);
-        std::optional<Bytes> content = decoder.decodeBlock(reads, 5);
+        ThreadPool pool(threads);
+        std::optional<Bytes> content =
+            decoder.decodeBlock(reads, 5, nullptr, nullptr, pool);
         ASSERT_TRUE(content.has_value()) << "threads=" << threads;
         if (!baseline) {
             baseline = content;
@@ -115,25 +118,65 @@ TEST_F(DecodeThreadsTest, UpdateChainDecodeIsThreadInvariant)
     }
 }
 
-TEST_F(DecodeThreadsTest, DefaultThreadsUsesHardwareConcurrency)
+TEST_F(DecodeThreadsTest, SharedPoolDecodesLikeSizeOnePool)
 {
-    // threads == 0 resolves to hardware_concurrency and must decode
-    // exactly like the sequential baseline.
+    // The default pool, ThreadPool::shared(), has one worker per
+    // hardware thread and must decode exactly like the sequential
+    // baseline.
     std::vector<sim::Read> reads = noisyReads(20 * 15 * 25);
+    Decoder decoder(*partition_, DecoderParams{});
 
-    DecoderParams sequential_params;
-    sequential_params.threads = 1;
-    DecoderParams default_params;
-    ASSERT_EQ(default_params.threads, 0u);
-
+    ThreadPool sequential(1);
     DecodeStats sequential_stats;
     DecodeStats default_stats;
-    auto sequential_units = Decoder(*partition_, sequential_params)
-                                .decodeAll(reads, &sequential_stats);
-    auto default_units = Decoder(*partition_, default_params)
-                             .decodeAll(reads, &default_stats);
+    auto sequential_units =
+        decoder.decodeAll(reads, &sequential_stats, sequential);
+    auto default_units = decoder.decodeAll(reads, &default_stats);
     EXPECT_EQ(default_units, sequential_units);
     EXPECT_EQ(default_stats, sequential_stats);
+}
+
+TEST_F(DecodeThreadsTest, ConcurrentCallersShareTheProcessPool)
+{
+    // Independent callers race the first use of ThreadPool::shared()
+    // and then contend for its workers, each decoding and encoding
+    // through the default entry points. Every caller must still get
+    // exactly the sequential result.
+    std::vector<sim::Read> reads = noisyReads(20 * 15 * 25);
+    Decoder decoder(*partition_, DecoderParams{});
+
+    ThreadPool sequential(1);
+    DecodeStats golden_stats;
+    const std::map<uint64_t, BlockVersions> golden_units =
+        decoder.decodeAll(reads, &golden_stats, sequential);
+    const std::vector<sim::DesignedMolecule> golden_molecules =
+        partition_->encodeFile(data_, sequential);
+
+    constexpr size_t kCallers = 4;
+    std::vector<std::map<uint64_t, BlockVersions>> units(kCallers);
+    std::vector<DecodeStats> stats(kCallers);
+    std::vector<std::vector<sim::DesignedMolecule>> molecules(kCallers);
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            units[c] = decoder.decodeAll(reads, &stats[c]);
+            molecules[c] = partition_->encodeFile(data_);
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+
+    for (size_t c = 0; c < kCallers; ++c) {
+        EXPECT_EQ(units[c], golden_units) << "caller " << c;
+        EXPECT_EQ(stats[c], golden_stats) << "caller " << c;
+        ASSERT_EQ(molecules[c].size(), golden_molecules.size());
+        for (size_t i = 0; i < golden_molecules.size(); ++i) {
+            EXPECT_EQ(molecules[c][i].seq, golden_molecules[i].seq)
+                << "caller " << c << " molecule " << i;
+            EXPECT_EQ(molecules[c][i].info, golden_molecules[i].info)
+                << "caller " << c << " molecule " << i;
+        }
+    }
 }
 
 } // namespace

@@ -185,20 +185,28 @@ TEST_F(DecoderTest, SteadyStateDecodePerformsNoArenaGrowth)
     // after that, a whole decode pass over the same reads must not
     // allocate a single new arena chunk — the per-read scratch all
     // comes from rewound arena memory. Arenas are thread-local, so
-    // the claim holds for a long-lived pool whose workers outlive
-    // both decodes; the pool-per-call overload starts fresh workers,
-    // and fresh arenas, on every call.
+    // the claim holds because the pool's workers outlive both
+    // decodes: the process-wide pool behind the default entry point,
+    // and an explicit 4-worker pool that forks even on a 1-core host.
     DecoderParams params;
     Decoder decoder(*partition_, params);
-    ThreadPool pool(4);
     auto reads = sequenceWholePool(20 * 15 * 12);
-    decoder.decodeAll(reads, nullptr, pool);
-    const ArenaGlobalStats warm = Arena::globalStats();
-    auto units = decoder.decodeAll(reads, nullptr, pool);
-    const ArenaGlobalStats steady = Arena::globalStats();
-    EXPECT_EQ(steady.chunks_allocated, warm.chunks_allocated);
-    EXPECT_EQ(steady.bytes_reserved, warm.bytes_reserved);
-    EXPECT_EQ(units.size(), 20u);
+    auto expectNoGrowth = [&](const char *label, auto decode) {
+        decode();
+        const ArenaGlobalStats warm = Arena::globalStats();
+        auto units = decode();
+        const ArenaGlobalStats steady = Arena::globalStats();
+        EXPECT_EQ(steady.chunks_allocated, warm.chunks_allocated)
+            << label;
+        EXPECT_EQ(steady.bytes_reserved, warm.bytes_reserved) << label;
+        EXPECT_EQ(units.size(), 20u) << label;
+    };
+    expectNoGrowth("default pool",
+                   [&] { return decoder.decodeAll(reads); });
+    ThreadPool four(4);
+    expectNoGrowth("ThreadPool(4)", [&] {
+        return decoder.decodeAll(reads, nullptr, four);
+    });
 }
 
 } // namespace

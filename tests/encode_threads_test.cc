@@ -2,9 +2,9 @@
  * @file
  * Encode-path thread-invariance tests: Partition::encodeFile and
  * BlockDevice::writeFile must produce byte-identical molecule streams
- * (and therefore identical pools) for any EncodeParams::threads
- * value, whether the blocks fan out over a local pool or a shared
- * caller-owned one. This is the encode-side twin of
+ * (and therefore identical pools) for any pool size, whether the
+ * blocks fan out over the process-wide ThreadPool::shared() or a
+ * caller-owned pool. This is the encode-side twin of
  * decode_threads_test.cc's contract.
  */
 
@@ -62,25 +62,24 @@ class EncodeThreadsTest : public ::testing::Test
 
 TEST_F(EncodeThreadsTest, EncodeFileByteIdenticalAcrossThreadCounts)
 {
-    EncodeParams sequential;
-    sequential.threads = 1;
+    ThreadPool sequential(1);
     std::vector<sim::DesignedMolecule> baseline =
         partition_->encodeFile(data_, sequential);
     ASSERT_EQ(baseline.size(), 20u * config_.rs_n);
 
-    for (size_t threads : {2u, 8u, 0u}) {
-        EncodeParams params;
-        params.threads = threads;
+    for (size_t threads : {2u, 8u}) {
+        ThreadPool pool(threads);
         EXPECT_TRUE(moleculesEqual(
-            partition_->encodeFile(data_, params), baseline))
+            partition_->encodeFile(data_, pool), baseline))
             << "threads=" << threads;
     }
+    EXPECT_TRUE(moleculesEqual(partition_->encodeFile(data_), baseline))
+        << "shared pool";
 }
 
 TEST_F(EncodeThreadsTest, EncodeFileOverSharedPoolMatches)
 {
-    EncodeParams sequential;
-    sequential.threads = 1;
+    ThreadPool sequential(1);
     std::vector<sim::DesignedMolecule> baseline =
         partition_->encodeFile(data_, sequential);
 
@@ -89,7 +88,7 @@ TEST_F(EncodeThreadsTest, EncodeFileOverSharedPoolMatches)
     ThreadPool pool(3);
     for (int round = 0; round < 3; ++round) {
         EXPECT_TRUE(moleculesEqual(
-            partition_->encodeFile(data_, {}, &pool), baseline))
+            partition_->encodeFile(data_, pool), baseline))
             << "round " << round;
     }
 }
@@ -100,37 +99,35 @@ TEST_F(EncodeThreadsTest, TailBlockPaddingIsThreadInvariant)
     // tail block in the parallel path.
     Bytes ragged(data_.begin(),
                  data_.begin() + 7 * config_.block_data_bytes + 100);
-    EncodeParams sequential;
-    sequential.threads = 1;
-    EncodeParams parallel;
-    parallel.threads = 8;
+    ThreadPool sequential(1);
+    ThreadPool parallel(8);
     EXPECT_TRUE(
         moleculesEqual(partition_->encodeFile(ragged, parallel),
                        partition_->encodeFile(ragged, sequential)));
 }
 
-TEST_F(EncodeThreadsTest, WriteFilePoolIdenticalAcrossEncodeThreads)
+TEST_F(EncodeThreadsTest, WriteFilePoolMatchesSequentialEncode)
 {
-    BlockDeviceParams sequential_params;
-    sequential_params.encode.threads = 1;
-    BlockDeviceParams parallel_params;
-    parallel_params.encode.threads = 8;
+    // writeFile encodes on the shared pool; its pool must equal the
+    // one synthesized from a sequential encode of the same file.
+    BlockDeviceParams params;
+    auto device = test::makeLoadedDevice(params, data_);
+    ThreadPool sequential(1);
+    sim::Pool expected = sim::synthesize(
+        device->partition().encodeFile(data_, sequential),
+        params.synthesis);
 
-    auto sequential =
-        test::makeLoadedDevice(sequential_params, data_);
-    auto parallel = test::makeLoadedDevice(parallel_params, data_);
-
-    const auto &sequential_species = sequential->pool().species();
-    const auto &parallel_species = parallel->pool().species();
-    ASSERT_EQ(parallel_species.size(), sequential_species.size());
-    for (size_t i = 0; i < sequential_species.size(); ++i) {
-        EXPECT_EQ(parallel_species[i].seq, sequential_species[i].seq)
+    const auto &expected_species = expected.species();
+    const auto &device_species = device->pool().species();
+    ASSERT_EQ(device_species.size(), expected_species.size());
+    for (size_t i = 0; i < expected_species.size(); ++i) {
+        EXPECT_EQ(device_species[i].seq, expected_species[i].seq)
             << "species " << i;
-        EXPECT_EQ(parallel_species[i].info, sequential_species[i].info)
+        EXPECT_EQ(device_species[i].info, expected_species[i].info)
             << "species " << i;
         // Masses come from one sequential RNG stream over an
         // identical molecule order, so they match bit for bit.
-        EXPECT_EQ(parallel_species[i].mass, sequential_species[i].mass)
+        EXPECT_EQ(device_species[i].mass, expected_species[i].mass)
             << "species " << i;
     }
 }
@@ -138,7 +135,6 @@ TEST_F(EncodeThreadsTest, WriteFilePoolIdenticalAcrossEncodeThreads)
 TEST_F(EncodeThreadsTest, ParallelEncodedDeviceRoundTrips)
 {
     BlockDeviceParams params;
-    params.encode.threads = 0;  // hardware concurrency
     auto device = test::makeLoadedDevice(params, data_);
     EXPECT_TRUE(
         test::blockMatches(device->readBlock(3), data_, 3));

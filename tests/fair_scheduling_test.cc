@@ -475,10 +475,10 @@ TEST_F(FairSchedulingTest, RealDecodesAreByteIdenticalUnderTenancy)
         sequencer);
 
     DecoderParams decoder_params;
-    decoder_params.threads = 1;
     Decoder decoder(partition, decoder_params);
+    ThreadPool sequential(1);
     DecodeOutcome golden;
-    golden.units = decoder.decodeAll(reads, &golden.stats);
+    golden.units = decoder.decodeAll(reads, &golden.stats, sequential);
 
     for (size_t threads : {1u, 2u, 8u}) {
         DecodeServiceParams params;

@@ -120,12 +120,11 @@ buildChannel(const FuzzCase &fc)
     ch.data = test::corpusBlocks(fc.blocks,
                                  Rng::deriveSeed(fc.seed, 1));
 
-    EncodeParams encode;
-    encode.threads = fc.encode_threads;
+    ThreadPool encode_pool(fc.encode_threads);
     sim::SynthesisParams synthesis;
     synthesis.seed = Rng::deriveSeed(fc.seed, 2);
     sim::Pool pool = sim::synthesize(
-        ch.partition->encodeFile(ch.data, encode), synthesis);
+        ch.partition->encodeFile(ch.data, encode_pool), synthesis);
 
     sim::PcrParams pcr;
     pcr.cycles = 15;
@@ -161,12 +160,13 @@ runIteration(const FuzzCase &fc)
 {
     Channel ch = buildChannel(fc);
     DecoderParams params;
-    params.threads = 1;
     Decoder decoder(*ch.partition, params);
 
     // Property 1: one-shot recovery of every source block.
+    ThreadPool sequential(1);
     DecodeStats one_shot_stats;
-    auto one_shot = decoder.decodeAll(ch.reads, &one_shot_stats);
+    auto one_shot =
+        decoder.decodeAll(ch.reads, &one_shot_stats, sequential);
     for (uint64_t block = 0; block < fc.blocks; ++block) {
         auto it = one_shot.find(block);
         ASSERT_NE(it, one_shot.end()) << "block " << block;

@@ -81,12 +81,11 @@ buildLeg(const Cell &cell, size_t p)
     leg.data =
         test::corpusBlocks(kBlocksPerPartition, test::kTestSeed + p);
 
-    EncodeParams encode;
-    encode.threads = p % 2 == 0 ? 1 : 4;
+    ThreadPool encode_pool(p % 2 == 0 ? 1 : 4);
     sim::SynthesisParams synthesis;
     synthesis.seed = 1000 + p;
     sim::Pool pool = sim::synthesize(
-        leg.partition->encodeFile(leg.data, encode), synthesis);
+        leg.partition->encodeFile(leg.data, encode_pool), synthesis);
 
     // Whole-partition amplification (the readAll access pattern).
     sim::PcrParams pcr;
@@ -105,9 +104,8 @@ buildLeg(const Cell &cell, size_t p)
                     leg.partition->config().rs_n * cell.coverage;
     leg.reads = sim::sequencePool(product, budget, sequencer);
 
-    DecoderParams params;
-    params.threads = 1;
-    leg.decoder = std::make_unique<Decoder>(*leg.partition, params);
+    leg.decoder =
+        std::make_unique<Decoder>(*leg.partition, DecoderParams{});
     return leg;
 }
 
@@ -122,10 +120,11 @@ TEST_P(RoundtripMatrixTest, RecoversBytesAndServiceMatchesGolden)
         legs.push_back(buildLeg(cell, p));
 
     // Sequential golden decode per partition + recovered-byte check.
+    ThreadPool sequential(1);
     std::vector<DecodeOutcome> golden(cell.partitions);
     for (size_t p = 0; p < cell.partitions; ++p) {
         golden[p].units = legs[p].decoder->decodeAll(
-            legs[p].reads, &golden[p].stats);
+            legs[p].reads, &golden[p].stats, sequential);
         EXPECT_EQ(golden[p].stats.units_decoded, kBlocksPerPartition)
             << "partition " << p;
         for (uint64_t block = 0; block < kBlocksPerPartition; ++block) {
@@ -214,11 +213,10 @@ TEST(RoundtripFaultsTest, SynthesisDropoutAndByproductsStillRecover)
         product, kBlocksPerPartition * partition.config().rs_n * 25,
         sequencer);
 
-    DecoderParams params;
-    params.threads = 1;
-    Decoder decoder(partition, params);
+    Decoder decoder(partition, DecoderParams{});
+    ThreadPool sequential(1);
     DecodeOutcome golden;
-    golden.units = decoder.decodeAll(reads, &golden.stats);
+    golden.units = decoder.decodeAll(reads, &golden.stats, sequential);
     EXPECT_EQ(golden.stats.units_decoded, kBlocksPerPartition);
     for (uint64_t block = 0; block < kBlocksPerPartition; ++block) {
         Bytes recovered = golden.units.at(block).versions.at(0);

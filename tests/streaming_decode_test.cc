@@ -104,11 +104,11 @@ buildLeg(std::optional<uint64_t> drop_block = std::nullopt)
         product, kBlocks * leg.partition->config().rs_n * kCoverage,
         sequencer);
 
-    DecoderParams params;
-    params.threads = 1;
-    leg.decoder = std::make_unique<Decoder>(*leg.partition, params);
-    leg.golden_units =
-        leg.decoder->decodeAll(leg.reads, &leg.golden_stats);
+    leg.decoder =
+        std::make_unique<Decoder>(*leg.partition, DecoderParams{});
+    ThreadPool sequential(1);
+    leg.golden_units = leg.decoder->decodeAll(
+        leg.reads, &leg.golden_stats, sequential);
     return leg;
 }
 
@@ -139,15 +139,14 @@ TEST(StreamingDecodeTest, DeferredModeMatchesOneShotExactly)
     ASSERT_EQ(leg.golden_stats.units_decoded, kBlocks);
 
     for (size_t threads : {1u, 2u, 8u}) {
-        DecoderParams params;
-        params.threads = threads;
-        StreamingDecoder session(*leg.partition, params);
+        ThreadPool pool(threads);
+        StreamingDecoder session(*leg.partition, DecoderParams{});
         for (const auto &chunk : chunked(leg.reads))
-            EXPECT_EQ(session.feed(chunk), chunk.size());
+            EXPECT_EQ(session.feed(chunk, pool), chunk.size());
         EXPECT_FALSE(session.complete());  // deferred: never early
 
         DecodeStats stats;
-        auto units = session.finish(&stats);
+        auto units = session.finish(&stats, pool);
         EXPECT_EQ(units, leg.golden_units) << "threads=" << threads;
         EXPECT_EQ(stats, leg.golden_stats) << "threads=" << threads;
         EXPECT_TRUE(session.finished());
@@ -162,8 +161,7 @@ TEST(StreamingDecodeTest, EagerModeTerminatesEarlyDeterministically)
     std::optional<size_t> consumed_at_one_thread;
     std::optional<std::vector<StreamedUnit>> emitted_at_one_thread;
     for (size_t threads : {1u, 2u, 8u}) {
-        DecoderParams params;
-        params.threads = threads;
+        ThreadPool pool(threads);
         StreamingParams streaming;
         streaming.expected_units = allBlocksVersionZero();
         std::vector<UnitKey> callback_order;
@@ -175,9 +173,10 @@ TEST(StreamingDecodeTest, EagerModeTerminatesEarlyDeterministically)
             EXPECT_EQ(payload,
                       leg.golden_units.at(block).versions.at(version));
         };
-        StreamingDecoder session(*leg.partition, params, streaming);
+        StreamingDecoder session(*leg.partition, DecoderParams{},
+                                 streaming);
         for (const auto &chunk : chunks) {
-            size_t consumed = session.feed(chunk);
+            size_t consumed = session.feed(chunk, pool);
             if (session.complete()) {
                 EXPECT_TRUE(consumed == chunk.size() || consumed == 0);
                 break;
@@ -189,10 +188,10 @@ TEST(StreamingDecodeTest, EagerModeTerminatesEarlyDeterministically)
                "budget runs out";
 
         // A chunk fed after completion is skipped, not processed.
-        EXPECT_EQ(session.feed(chunks.front()), 0u);
+        EXPECT_EQ(session.feed(chunks.front(), pool), 0u);
 
         DecodeStats stats;
-        auto units = session.finish(&stats);
+        auto units = session.finish(&stats, pool);
         EXPECT_EQ(stats.units_emitted_early, kBlocks);
         EXPECT_LT(stats.reads_consumed, leg.reads.size())
             << "early termination must leave reads unconsumed";
@@ -222,7 +221,6 @@ TEST(StreamingDecodeTest, FeedAndFinishAfterFinishThrow)
 {
     Leg leg = buildLeg();
     DecoderParams params;
-    params.threads = 1;
     StreamingDecoder session(*leg.partition, params);
     session.feed(leg.reads);
     session.finish();

@@ -20,9 +20,8 @@ canonicalPartition()
 std::unique_ptr<core::Decoder>
 canonicalDecoder(const core::Partition &partition)
 {
-    core::DecoderParams decoder_params;
-    decoder_params.threads = 1;
-    return std::make_unique<core::Decoder>(partition, decoder_params);
+    return std::make_unique<core::Decoder>(partition,
+                                           core::DecoderParams{});
 }
 
 } // namespace

@@ -139,8 +139,8 @@ class SchedulerFixture : public ::testing::Test
     /** The current harness (aborts when none was built yet). */
     SchedulerHarness &harness();
 
-    /** The fixture's shared decoder (threads = 1, canonical
-     *  partition 0) for hand-built services and batches. */
+    /** The fixture's shared decoder (canonical partition 0) for
+     *  hand-built services and batches. */
     const core::Decoder &decoder() const { return *decoder_; }
 
   private:

@@ -29,6 +29,13 @@ TEST(ThreadPoolTest, ResolveThreadCount)
     EXPECT_EQ(ThreadPool::resolveThreadCount(5), 5u);
 }
 
+TEST(ThreadPoolTest, SharedPoolIsOneHardwareSizedInstance)
+{
+    ThreadPool &shared = ThreadPool::shared();
+    EXPECT_EQ(&ThreadPool::shared(), &shared);
+    EXPECT_EQ(shared.threadCount(), ThreadPool::resolveThreadCount(0));
+}
+
 TEST(ThreadPoolTest, SizeOnePoolSpawnsNoWorkers)
 {
     ThreadPool pool(1);

@@ -288,7 +288,6 @@ class ServiceTraceTest : public ::testing::Test
             pool, kBlocks * partition_->config().rs_n * kCoverage,
             sequencer);
         core::DecoderParams params;
-        params.threads = 1;
         decoder_ =
             std::make_unique<core::Decoder>(*partition_, params);
     }
@@ -534,7 +533,6 @@ class SimulatorTraceTest : public ::testing::Test
             test::partitionConfig(0), primers.forward,
             primers.reverse, 13);
         core::DecoderParams params;
-        params.threads = 1;
         decoder_ =
             std::make_unique<core::Decoder>(*partition_, params);
     }
