@@ -25,6 +25,7 @@
 #include "ecc/reed_solomon.h"
 #include "index/sparse_index.h"
 #include "sim/pcr.h"
+#include "sim/sequencer.h"
 #include "sim/synthesis.h"
 
 namespace {
@@ -225,6 +226,51 @@ BM_BmaDoubleSided(benchmark::State &state)
             consensus::bmaDoubleSided(reads, 150));
 }
 BENCHMARK(BM_BmaDoubleSided);
+
+/** 75 reads of one random 150-base strand through the sequencer's
+ *  default IDS channel (0.3% substitution, 0.07% insertion, 0.07%
+ *  deletion): the decoder's operating point, where almost every read
+ *  sits 0-2 edits from the draft. */
+std::vector<dna::Sequence>
+noisyCluster()
+{
+    Rng rng(6);
+    sim::Pool pool;
+    pool.add(randomSeq(rng, 150), {}, 1.0);
+    std::vector<dna::Sequence> reads;
+    for (sim::Read &read :
+         sim::sequencePool(pool, 75, sim::SequencerParams{}))
+        reads.push_back(std::move(read.seq));
+    return reads;
+}
+
+/** One refinement pass over the BMA-only draft of noisyCluster(). */
+void
+BM_RefineDraftNoisy(benchmark::State &state)
+{
+    const std::vector<dna::Sequence> reads = noisyCluster();
+    consensus::BmaParams bma_only;
+    bma_only.refine_iterations = 0;
+    const dna::Sequence draft =
+        consensus::bmaDoubleSided(reads, 150, bma_only);
+    const size_t band = consensus::BmaParams{}.refine_band;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            consensus::refineDraft(draft, reads, band));
+}
+BENCHMARK(BM_RefineDraftNoisy);
+
+/** The whole per-cluster consensus (both BMA passes plus refinement)
+ *  of noisyCluster(). */
+void
+BM_BmaDoubleSidedNoisy(benchmark::State &state)
+{
+    const std::vector<dna::Sequence> reads = noisyCluster();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            consensus::bmaDoubleSided(reads, 150));
+}
+BENCHMARK(BM_BmaDoubleSidedNoisy);
 
 void
 BM_BmaBatchParallel(benchmark::State &state)

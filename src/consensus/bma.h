@@ -41,14 +41,20 @@ struct BmaParams
      *  cursors desynchronized. */
     size_t refine_iterations = 2;
 
-    /** Band half-width for the refinement alignment. */
+    /** Band half-width for the refinement alignment. A read within
+     *  this many edits of the draft aligns by diagonal transition,
+     *  so its cost grows with its distance to the draft, not with
+     *  the band; a read beyond the band takes the banded DP (and
+     *  votes only if the band still reaches the alignment's end). */
     size_t refine_band = 8;
 };
 
 /**
  * One refinement pass: banded-align each read to @p draft and take a
  * per-position majority over the aligned bases. The output keeps the
- * draft's length.
+ * draft's length, and the votes are exactly those of a banded DP
+ * alignment with the backtrace preferring diagonal, then deleted
+ * draft base, then inserted read base.
  */
 dna::Sequence refineDraft(const dna::Sequence &draft,
                           const std::vector<dna::Sequence> &reads,
@@ -80,12 +86,18 @@ dna::Sequence bmaDoubleSided(const std::vector<dna::Sequence> &reads,
  * reads transiently, so peak memory stays O(largest cluster) per
  * thread rather than a second copy of the whole read set. Empty
  * clusters yield an empty Sequence.
+ *
+ * @p refine_fallbacks, when given, receives the number of read
+ * alignments (one per read and refinement pass) whose distance to
+ * the draft exceeded params.refine_band and so took the banded DP:
+ * reads drifting from their consensus. Counted per cluster and
+ * summed in cluster order, so it is the same for any pool size.
  */
 std::vector<dna::Sequence> bmaDoubleSidedBatch(
     const std::vector<dna::Sequence> &reads,
     const std::vector<std::vector<size_t>> &clusters,
     size_t expected_length, const BmaParams &params = {},
-    ThreadPool *pool = nullptr);
+    ThreadPool *pool = nullptr, size_t *refine_fallbacks = nullptr);
 
 } // namespace dnastore::consensus
 

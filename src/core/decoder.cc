@@ -358,9 +358,11 @@ StreamingDecoder::refreshClusters(const std::vector<size_t> &cluster_ids,
     std::vector<std::vector<size_t>> memberships(cluster_ids.size());
     for (size_t i = 0; i < cluster_ids.size(); ++i)
         memberships[i] = clusterer_.clusters()[cluster_ids[i]].members;
+    size_t refine_fallbacks = 0;
     std::vector<dna::Sequence> strands = consensus::bmaDoubleSidedBatch(
         clusterer_.reads(), memberships, config.strand_length,
-        params_.bma, &pool);
+        params_.bma, &pool, &refine_fallbacks);
+    consensus_span.attrU64("refine_fallbacks", refine_fallbacks);
 
     std::set<UnitKey> changed;
     for (size_t i = 0; i < cluster_ids.size(); ++i) {

@@ -1,7 +1,6 @@
 #include "dna/distance.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -50,34 +49,6 @@ infRow(Arena &arena, size_t n)
     uint16_t *row = arena.allocArray<uint16_t>(lanes);
     std::memset(row, 0xFF, lanes * sizeof(uint16_t));
     return row;
-}
-
-/**
- * Advance row @p i along diagonal @p k (a[i] against b[i + k]) while
- * the bases match, stopping at @p end = min(|a|, |b| - k). Compares
- * eight bases per step: the first set bit of the XOR of two words
- * locates the first mismatch.
- */
-ptrdiff_t
-slideDiagonal(const char *a, const char *b, ptrdiff_t i, ptrdiff_t k,
-              ptrdiff_t end)
-{
-    for (; i + 8 <= end; i += 8) {
-        uint64_t wa = 0;
-        uint64_t wb = 0;
-        std::memcpy(&wa, a + i, 8);
-        std::memcpy(&wb, b + i + k, 8);
-        const uint64_t diff = wa ^ wb;
-        if (diff != 0) {
-            const int bit = std::endian::native == std::endian::little
-                                ? std::countr_zero(diff)
-                                : std::countl_zero(diff);
-            return i + bit / 8;
-        }
-    }
-    while (i < end && a[i] == b[i + k])
-        ++i;
-    return i;
 }
 
 } // namespace

@@ -13,7 +13,10 @@
 #ifndef DNASTORE_DNA_DISTANCE_H
 #define DNASTORE_DNA_DISTANCE_H
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "dna/sequence.h"
@@ -23,6 +26,36 @@ namespace dnastore::dna {
 /** Sentinel returned by banded searches when the bound is exceeded. */
 inline constexpr size_t kDistanceInfinity =
     std::numeric_limits<size_t>::max();
+
+/**
+ * The slide step of diagonal transition: advance row @p i along
+ * diagonal @p k (a[i] against b[i + k]) while the bases match,
+ * stopping at @p end = min(|a|, |b| - k). Compares eight bases per
+ * step: the first set bit of the XOR of two words locates the first
+ * mismatch. Shared by bandedLevenshtein and consensus refinement;
+ * inline because a typical slide covers only a few bases.
+ */
+inline ptrdiff_t
+slideDiagonal(const char *a, const char *b, ptrdiff_t i, ptrdiff_t k,
+              ptrdiff_t end)
+{
+    for (; i + 8 <= end; i += 8) {
+        uint64_t wa = 0;
+        uint64_t wb = 0;
+        std::memcpy(&wa, a + i, 8);
+        std::memcpy(&wb, b + i + k, 8);
+        const uint64_t diff = wa ^ wb;
+        if (diff != 0) {
+            const int bit = std::endian::native == std::endian::little
+                                ? std::countr_zero(diff)
+                                : std::countl_zero(diff);
+            return i + bit / 8;
+        }
+    }
+    while (i < end && a[i] == b[i + k])
+        ++i;
+    return i;
+}
 
 /**
  * Hamming distance between equal-length sequences; if lengths differ,

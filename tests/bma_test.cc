@@ -3,6 +3,11 @@
  * Tests for double-sided BMA trace reconstruction.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -133,6 +138,216 @@ TEST(BmaTest, RefineDraftKeepsLength)
         reads.push_back(idsNoise(rng, original, 0.02, 0.02, 0.02));
     dna::Sequence refined = refineDraft(original, reads, 8);
     EXPECT_EQ(refined.size(), 120u);
+}
+
+/**
+ * Test-local copy of the size_t banded DP refinement: every read is
+ * globally aligned to the draft inside |column - row| <= band, the
+ * backtrace prefers diagonal, then deleted draft base, then inserted
+ * read base, and each draft base becomes the majority of its aligned
+ * read bases (the draft's own base wins ties, then the lowest base).
+ */
+dna::Sequence
+bandedReferenceRefine(const dna::Sequence &draft_seq,
+                      const std::vector<dna::Sequence> &reads,
+                      size_t band)
+{
+    const std::string &draft = draft_seq.str();
+    const size_t n = draft.size();
+    std::vector<size_t> votes(n * 4, 0);
+    for (const dna::Sequence &read_seq : reads) {
+        const std::string &read = read_seq.str();
+        const size_t m = read.size();
+        const size_t inf = SIZE_MAX / 2;
+        std::vector<std::vector<size_t>> cost(
+            n + 1, std::vector<size_t>(m + 1, inf));
+        cost[0][0] = 0;
+        for (size_t j = 1; j <= std::min(m, band); ++j)
+            cost[0][j] = j;
+        for (size_t i = 1; i <= n; ++i) {
+            size_t lo = i > band ? i - band : 1;
+            size_t hi = std::min(m, i + band);
+            if (i <= band)
+                cost[i][0] = i;
+            for (size_t j = lo; j <= hi; ++j) {
+                size_t sub = cost[i - 1][j - 1] +
+                             (draft[i - 1] == read[j - 1] ? 0 : 1);
+                size_t del = cost[i - 1][j] + 1;
+                size_t ins = cost[i][j - 1] + 1;
+                cost[i][j] = std::min({sub, del, ins});
+            }
+        }
+        if (cost[n][m] >= inf)
+            continue;
+        size_t i = n, j = m;
+        while (i > 0 && j > 0) {
+            size_t sub = cost[i - 1][j - 1] +
+                         (draft[i - 1] == read[j - 1] ? 0 : 1);
+            if (cost[i][j] == sub) {
+                ++votes[(i - 1) * 4 +
+                        static_cast<size_t>(
+                            dna::charToBase(read[j - 1]))];
+                --i;
+                --j;
+            } else if (cost[i][j] == cost[i - 1][j] + 1) {
+                --i;
+            } else {
+                --j;
+            }
+        }
+    }
+    std::string out(n, 'A');
+    for (size_t j = 0; j < n; ++j) {
+        size_t best = static_cast<size_t>(dna::charToBase(draft[j]));
+        for (size_t b = 0; b < 4; ++b) {
+            if (votes[j * 4 + b] > votes[j * 4 + best])
+                best = b;
+        }
+        out[j] = dna::baseToChar(static_cast<dna::Base>(best));
+    }
+    return dna::Sequence(out);
+}
+
+/** @p seq with @p count random bases inserted at random positions. */
+dna::Sequence
+withInsertions(dnastore::Rng &rng, const dna::Sequence &seq,
+               size_t count)
+{
+    std::string out = seq.str();
+    for (size_t c = 0; c < count; ++c) {
+        out.insert(out.begin() +
+                       static_cast<ptrdiff_t>(
+                           rng.nextBelow(out.size() + 1)),
+                   dna::baseToChar(
+                       static_cast<dna::Base>(rng.nextBelow(4))));
+    }
+    return dna::Sequence(out);
+}
+
+/** @p seq with min(count, |seq|) distinct positions substituted. */
+dna::Sequence
+withSubstitutions(dnastore::Rng &rng, const dna::Sequence &seq,
+                  size_t count)
+{
+    std::string out = seq.str();
+    std::vector<size_t> positions(out.size());
+    for (size_t p = 0; p < positions.size(); ++p)
+        positions[p] = p;
+    for (size_t c = 0; c < std::min(count, out.size()); ++c) {
+        std::swap(positions[c],
+                  positions[c + rng.nextBelow(out.size() - c)]);
+        const size_t p = positions[c];
+        const uint64_t shift = 1 + rng.nextBelow(3);
+        out[p] = dna::baseToChar(static_cast<dna::Base>(
+            (static_cast<uint64_t>(dna::charToBase(out[p])) + shift) %
+            4));
+    }
+    return dna::Sequence(out);
+}
+
+/**
+ * A read of the draft's length whose base at every position differs
+ * from the draft's bases there and at both neighbours. Refined
+ * together with one other read, it outvotes the draft where it votes
+ * and that read does not, so the output shows where the read voted,
+ * not only where it voted for a different base.
+ */
+dna::Sequence
+voteProbe(const dna::Sequence &draft)
+{
+    const std::string &d = draft.str();
+    std::string out(d.size(), 'A');
+    for (size_t p = 0; p < d.size(); ++p) {
+        for (char c : {'A', 'C', 'G', 'T'}) {
+            if (c != d[p] && (p == 0 || c != d[p - 1]) &&
+                (p + 1 == d.size() || c != d[p + 1])) {
+                out[p] = c;
+                break;
+            }
+        }
+    }
+    return dna::Sequence(out);
+}
+
+// refineDraft must vote exactly like the size_t banded DP, whichever
+// way each read is aligned: reads within the band, reads beyond it
+// whose end cell the band still reaches, and reads it does not reach.
+// Unrelated random reads of a short draft sit within the wide bands
+// and are full of equal-cost paths, so they pin the backtrace's tie
+// order; short drafts therefore get more trials.
+TEST(BmaTest, RefineDraftMatchesBandedReference)
+{
+    struct Noise
+    {
+        double sub, ins, del;
+    };
+    // The sequencer's default rates (~0.45% in all), then 3% and 10%
+    // split evenly over substitutions, insertions and deletions.
+    const Noise noises[] = {{0.003, 0.0007, 0.0007},
+                            {0.01, 0.01, 0.01},
+                            {0.1 / 3, 0.1 / 3, 0.1 / 3}};
+    const size_t bands[] = {0, 1, 2, 8, 20};
+    const size_t lengths[] = {1, 7, 150};
+    dnastore::Rng rng(19);
+    for (size_t n : lengths) {
+        const int trials = n < 150 ? 20 : 3;
+        for (const Noise &noise : noises) {
+            for (int trial = 0; trial < trials; ++trial) {
+                dna::Sequence original = randomSeq(rng, n);
+                std::vector<dna::Sequence> noisy;
+                for (int r = 0; r < 12; ++r)
+                    noisy.push_back(idsNoise(rng, original, noise.sub,
+                                             noise.ins, noise.del));
+                // The draft refinement sees in the decoder: BMA alone.
+                BmaParams bma_only;
+                bma_only.refine_iterations = 0;
+                const dna::Sequence draft =
+                    bmaDoubleSided(noisy, n, bma_only);
+                const dna::Sequence probe = voteProbe(draft);
+                const std::string &bases = draft.str();
+                for (size_t band : bands) {
+                    std::vector<dna::Sequence> reads = noisy;
+                    reads.push_back(dna::Sequence(""));
+                    reads.push_back(dna::Sequence(
+                        bases.substr(0, n >= 2 ? n - 2 : 0)));
+                    reads.push_back(dna::Sequence(
+                        bases.substr(std::min<size_t>(2, n))));
+                    reads.push_back(withInsertions(rng, draft, band));
+                    reads.push_back(
+                        withInsertions(rng, draft, band + 1));
+                    // m = n, distance up to band + 1: the DP fallback
+                    // with a reachable end cell.
+                    reads.push_back(
+                        withSubstitutions(rng, draft, band + 1));
+                    for (int r = 0; r < 4; ++r)
+                        reads.push_back(randomSeq(rng, n));
+                    const std::string where =
+                        "n=" + std::to_string(n) +
+                        " band=" + std::to_string(band) +
+                        " sub=" + std::to_string(noise.sub) +
+                        " trial=" + std::to_string(trial);
+                    EXPECT_EQ(
+                        refineDraft(draft, reads, band).str(),
+                        bandedReferenceRefine(draft, reads, band).str())
+                        << where;
+                    // One read at a time, so a single read's votes
+                    // cannot hide behind the majority.
+                    for (const dna::Sequence &read : reads) {
+                        for (const std::vector<dna::Sequence> &set :
+                             {std::vector<dna::Sequence>{read},
+                              std::vector<dna::Sequence>{read, probe}}) {
+                            EXPECT_EQ(
+                                refineDraft(draft, set, band).str(),
+                                bandedReferenceRefine(draft, set, band)
+                                    .str())
+                                << where << " read=" << read.str()
+                                << " probed=" << (set.size() > 1);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(BmaTest, SingleReadPassesThrough)

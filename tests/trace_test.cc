@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "core/decode_service.h"
+#include "common/thread_pool.h"
 #include "core/decoder.h"
 #include "sim/synthesis.h"
 #include "support/fixtures.h"
@@ -334,6 +335,41 @@ TEST_F(ServiceTraceTest, RequestSpansCoverEveryDecodeStage)
     for (const SpanAttr &attr : root->attrs)
         ok_outcome |= attr.key == "outcome" && attr.value == "ok";
     EXPECT_TRUE(ok_outcome);
+}
+
+// decode.consensus counts the read alignments that drifted beyond
+// the refinement band. Each cluster counts its own and the counts are
+// summed in cluster order, so the value is the same on any pool.
+TEST_F(ServiceTraceTest, RefineFallbacksAreTheSameForAnyPoolSize)
+{
+    // A narrow band, so that drifted reads come from many clusters.
+    core::DecoderParams params;
+    params.bma.refine_band = 2;
+    const core::Decoder decoder(*partition_, params);
+    auto refineFallbacks = [&](size_t threads) {
+        TraceCollector collector;
+        SpanHandle root = collector.startTrace("request", 1);
+        ThreadPool pool(threads);
+        decoder.decodeAll(reads_, nullptr, pool, root.context());
+        root.end();
+        const std::vector<FinishedTrace> traces = collector.traces();
+        std::vector<std::string> values;
+        for (const FinishedTrace &trace : traces) {
+            for (const Span &span : trace.spans) {
+                if (span.name != "decode.consensus")
+                    continue;
+                for (const SpanAttr &attr : span.attrs) {
+                    if (attr.key == "refine_fallbacks")
+                        values.push_back(attr.value);
+                }
+            }
+        }
+        EXPECT_EQ(values.size(), 1u) << "pool of " << threads;
+        return values.empty() ? std::string() : values.front();
+    };
+    const std::string one = refineFallbacks(1);
+    EXPECT_NE(one, "0");
+    EXPECT_EQ(refineFallbacks(8), one);
 }
 
 TEST_F(ServiceTraceTest, ShedRequestsRecordAdmissionLatency)
