@@ -215,6 +215,33 @@ BM_ClusterReadsParallel(benchmark::State &state)
 }
 BENCHMARK(BM_ClusterReadsParallel);
 
+/** The cluster stage at its operating point in a decode: 40 random
+ *  150-base strands that share one 20-base prefix, as a partition's
+ *  strands share the forward primer, and 1,200 reads (30 per strand
+ *  on average) through the sequencer's default channel, clustered on
+ *  one thread. Unlike BM_ClusterReads, every read pays the MinHash
+ *  conversion of noisy bases, and the shared prefix brings the
+ *  rejected distance tests. */
+void
+BM_ClusterReadsNoisy(benchmark::State &state)
+{
+    Rng rng(11);
+    const dna::Sequence primer = randomSeq(rng, 20);
+    sim::Pool pool;
+    for (int strand = 0; strand < 40; ++strand)
+        pool.add(primer + randomSeq(rng, 130), {}, 1.0);
+    std::vector<dna::Sequence> reads;
+    for (sim::Read &read :
+         sim::sequencePool(pool, 40 * 30, sim::SequencerParams{}))
+        reads.push_back(std::move(read.seq));
+    cluster::ClustererParams params;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cluster::clusterReads(reads, params));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(reads.size()));
+}
+BENCHMARK(BM_ClusterReadsNoisy);
+
 void
 BM_BmaDoubleSided(benchmark::State &state)
 {

@@ -235,20 +235,6 @@ refineVotesBanded(const char *draft, size_t n, const std::string &read,
     }
 }
 
-/** dna::charToBase of an A/C/G/T character as an index, inline:
- *  refinement casts one vote per aligned base, and a Sequence holds
- *  nothing else. */
-inline size_t
-baseIndex(char c)
-{
-    switch (c) {
-      case 'A': return 0;
-      case 'C': return 1;
-      case 'G': return 2;
-      default: return 3;
-    }
-}
-
 /**
  * One read's refinement votes by diagonal transition (Ukkonen 1985;
  * Landau & Vishkin 1989), when its edit distance d to the draft is
@@ -341,7 +327,9 @@ refineVotesByDiagonals(const char *draft, size_t n,
                 continue;
             }
         }
-        ++votes[(i - 1) * 4 + baseIndex(base)];
+        // A Sequence holds only bases, so the vote's base needs no
+        // check.
+        ++votes[(i - 1) * 4 + dna::baseCode(base)];
         --i;
         --j;
     }
@@ -412,19 +400,20 @@ bmaDoubleSidedImpl(const dna::Sequence *const *members, size_t count,
                           members[i]->size(), false};
         bwd[i] = ReadView{fwd[i].data, fwd[i].size, true};
     }
-    char *fout = arena.allocArray<char>(expected_length);
-    char *bout = arena.allocArray<char>(expected_length);
-    bmaForwardImpl(fwd, count, expected_length, params, arena, fout);
-    bmaForwardImpl(bwd, count, expected_length, params, arena, bout);
-
     // Splice: anchored-end halves from each pass (the backward pass
-    // reconstructed the reversed strand, so its half is read from
-    // the far end).
-    size_t half = expected_length / 2 + expected_length % 2;
+    // reconstructs the reversed strand, so its half is read from the
+    // far end). Each pass runs only to the splice point, which is
+    // exact: a pass writes position j once, at step j, from cursor
+    // state that only the steps before j built, so a shorter pass is
+    // a prefix of a longer one.
+    const size_t half = expected_length / 2 + expected_length % 2;
+    const size_t tail = expected_length - half;
     char *spliced = arena.allocArray<char>(expected_length);
-    std::memcpy(spliced, fout, half);
-    for (size_t j = half; j < expected_length; ++j)
-        spliced[j] = bout[expected_length - 1 - j];
+    char *bout = arena.allocArray<char>(tail);
+    bmaForwardImpl(fwd, count, half, params, arena, spliced);
+    bmaForwardImpl(bwd, count, tail, params, arena, bout);
+    for (size_t j = 0; j < tail; ++j)
+        spliced[expected_length - 1 - j] = bout[j];
 
     // Alignment-refinement passes repair any position where the BMA
     // cursors desynchronized.

@@ -62,7 +62,9 @@ dna::Sequence refineDraft(const dna::Sequence &draft,
 
 /**
  * One-sided BMA from the 5' end; reconstructs exactly
- * @p expected_length bases.
+ * @p expected_length bases. Position j is decided at step j from
+ * cursor state built by the steps before it, so the output is a
+ * prefix of the output of any longer @p expected_length run.
  */
 dna::Sequence bmaForward(const std::vector<dna::Sequence> &reads,
                          size_t expected_length,
@@ -70,8 +72,12 @@ dna::Sequence bmaForward(const std::vector<dna::Sequence> &reads,
 
 /**
  * Double-sided BMA: forward pass, backward pass (on reversed reads),
- * spliced at the middle. This is the reconstruction used for every
- * cluster in the decoding pipeline.
+ * spliced at the middle, then params.refine_iterations refinement
+ * passes. The forward pass runs only the ceil(n/2) steps whose bases
+ * the splice keeps and the backward pass only the floor(n/2) others
+ * (n = @p expected_length); by bmaForward's prefix property the
+ * splice equals that of two full-length passes. This is the
+ * reconstruction used for every cluster in the decoding pipeline.
  */
 dna::Sequence bmaDoubleSided(const std::vector<dna::Sequence> &reads,
                              size_t expected_length,

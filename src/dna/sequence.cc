@@ -6,30 +6,10 @@
 
 namespace dnastore::dna {
 
-char
-baseToChar(Base base)
+void
+detail::invalidBaseChar(char c)
 {
-    static constexpr char kChars[4] = {'A', 'C', 'G', 'T'};
-    return kChars[static_cast<uint8_t>(base)];
-}
-
-Base
-charToBase(char c)
-{
-    switch (c) {
-      case 'A': return Base::A;
-      case 'C': return Base::C;
-      case 'G': return Base::G;
-      case 'T': return Base::T;
-      default:
-        fatal("invalid DNA character '", c, "'");
-    }
-}
-
-bool
-isValidBaseChar(char c)
-{
-    return c == 'A' || c == 'C' || c == 'G' || c == 'T';
+    fatal("invalid DNA character '", c, "'");
 }
 
 Base

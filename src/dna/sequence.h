@@ -25,13 +25,56 @@ enum class Base : uint8_t { A = 0, C = 1, G = 2, T = 3 };
 inline constexpr Base kAllBases[4] = {Base::A, Base::C, Base::G, Base::T};
 
 /** Convert a base to its character. */
-char baseToChar(Base base);
+inline char
+baseToChar(Base base)
+{
+    return "ACGT"[static_cast<uint8_t>(base)];
+}
 
-/** Convert a character (upper-case ACGT) to a base; throws otherwise. */
-Base charToBase(char c);
+/**
+ * The 2-bit code of a base character, unchecked and without a branch:
+ * on the unsigned byte u, ((u >> 1) ^ (u >> 2)) & 3 maps 'A', 'C',
+ * 'G', 'T' (0x41, 0x43, 0x47, 0x54) to 0, 1, 2, 3. Any other byte
+ * also gets a code, so use it only on characters known to be bases,
+ * such as a Sequence's; charToBase() is the checked form.
+ */
+inline uint8_t
+baseCode(char c)
+{
+    const auto u = static_cast<unsigned char>(c);
+    return static_cast<uint8_t>(((u >> 1) ^ (u >> 2)) & 3);
+}
 
-/** True if the character is one of ACGT. */
-bool isValidBaseChar(char c);
+/** True if the character is one of ACGT: exactly the characters that
+ *  baseCode() maps back to themselves. */
+inline bool
+isValidBaseChar(char c)
+{
+    return baseToChar(static_cast<Base>(baseCode(c))) == c;
+}
+
+namespace detail {
+
+/** Raise the FatalError of charToBase() for an invalid character. */
+[[noreturn]] void invalidBaseChar(char c);
+
+} // namespace detail
+
+/**
+ * Convert a character to a base: 'A', 'C', 'G' and 'T' give Base::A,
+ * Base::C, Base::G and Base::T; every other byte (lower case, 'N',
+ * 'U', '\0', bytes >= 0x80) raises FatalError. Inline and branch-free
+ * but for that one check, which valid input always passes, so the hot
+ * loops over reads (BMA cursors, the MinHash conversion) call it per
+ * base.
+ */
+inline Base
+charToBase(char c)
+{
+    if (!isValidBaseChar(c)) [[unlikely]]
+        detail::invalidBaseChar(c);
+    return static_cast<Base>(baseCode(c));
+}
 
 /** Watson-Crick complement (A<->T, C<->G). */
 Base complement(Base base);

@@ -350,6 +350,124 @@ TEST(BmaTest, RefineDraftMatchesBandedReference)
     }
 }
 
+/** @p reads, each read back to front. */
+std::vector<dna::Sequence>
+reversedReads(const std::vector<dna::Sequence> &reads)
+{
+    std::vector<dna::Sequence> out;
+    for (const dna::Sequence &read : reads)
+        out.emplace_back(std::string(read.str().rbegin(),
+                                     read.str().rend()));
+    return out;
+}
+
+// The property that lets bmaDoubleSided stop each pass at the splice
+// point: a shorter forward pass is a prefix of a longer one.
+TEST(BmaTest, ForwardPassIsPrefixStable)
+{
+    dnastore::Rng rng(21);
+    for (double noise : {0.01, 0.1 / 3}) {
+        dna::Sequence original = randomSeq(rng, 150);
+        std::vector<dna::Sequence> reads;
+        for (int r = 0; r < 12; ++r)
+            reads.push_back(idsNoise(rng, original, noise, noise, noise));
+        for (const std::vector<dna::Sequence> &set :
+             {reads, reversedReads(reads)}) {
+            for (size_t full : {size_t{150}, size_t{151}}) {
+                const std::string longer = bmaForward(set, full).str();
+                for (size_t len : {size_t{1}, size_t{75}, size_t{149}}) {
+                    EXPECT_EQ(bmaForward(set, len).str(),
+                              longer.substr(0, len))
+                        << "noise=" << noise << " len=" << len
+                        << " full=" << full;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Test-local double-sided reconstruction from full-length public
+ * passes: bmaForward over the reads and over their reversals for all
+ * @p n bases, the first ceil(n/2) forward and floor(n/2) backward
+ * bases spliced, then up to params.refine_iterations refineDraft
+ * passes, stopping at the first pass that changes nothing.
+ */
+dna::Sequence
+fullLengthSplice(const std::vector<dna::Sequence> &reads, size_t n,
+                 const BmaParams &params)
+{
+    const std::string fwd = bmaForward(reads, n, params).str();
+    const std::string bwd =
+        bmaForward(reversedReads(reads), n, params).str();
+    const size_t half = n / 2 + n % 2;
+    std::string spliced = fwd.substr(0, half);
+    for (size_t j = half; j < n; ++j)
+        spliced.push_back(bwd[n - 1 - j]);
+    dna::Sequence draft(spliced);
+    for (size_t pass = 0; pass < params.refine_iterations; ++pass) {
+        dna::Sequence refined =
+            refineDraft(draft, reads, params.refine_band);
+        if (refined == draft)
+            break;
+        draft = std::move(refined);
+    }
+    return draft;
+}
+
+// bmaDoubleSided runs each pass only to the splice point; the result
+// must equal the splice of two full-length passes, from the sequencer's
+// noise up to 25%, for odd, even and tiny lengths, and for an expected
+// length one base longer than the strand.
+TEST(BmaTest, DoubleSidedMatchesFullLengthSplice)
+{
+    struct Noise
+    {
+        double sub, ins, del;
+    };
+    // The sequencer's default rates (~0.45% in all), then 3%, 10% and
+    // 25% split evenly over substitutions, insertions and deletions.
+    const Noise noises[] = {{0.003, 0.0007, 0.0007},
+                            {0.01, 0.01, 0.01},
+                            {0.1 / 3, 0.1 / 3, 0.1 / 3},
+                            {0.25 / 3, 0.25 / 3, 0.25 / 3}};
+    // Strands are min(n, 150) bases long, so n = 151 differs.
+    const size_t lengths[] = {1, 2, 3, 7, 150, 151};
+    const size_t lookaheads[] = {0, 1, 2, 4};
+    const size_t refine_iterations[] = {0, 2};
+    const size_t cluster_sizes[] = {1, 2, 5, 75};
+    dnastore::Rng rng(20);
+    for (size_t n : lengths) {
+        for (const Noise &noise : noises) {
+            for (size_t size : cluster_sizes) {
+                for (int trial = 0; trial < 5; ++trial) {
+                    dna::Sequence original =
+                        randomSeq(rng, std::min<size_t>(n, 150));
+                    std::vector<dna::Sequence> reads;
+                    for (size_t r = 0; r < size; ++r)
+                        reads.push_back(idsNoise(rng, original, noise.sub,
+                                                 noise.ins, noise.del));
+                    for (size_t lookahead : lookaheads) {
+                        for (size_t iterations : refine_iterations) {
+                            BmaParams params;
+                            params.lookahead = lookahead;
+                            params.refine_iterations = iterations;
+                            EXPECT_EQ(
+                                bmaDoubleSided(reads, n, params).str(),
+                                fullLengthSplice(reads, n, params).str())
+                                << "n=" << n << " sub=" << noise.sub
+                                << " size=" << size
+                                << " trial=" << trial
+                                << " lookahead=" << lookahead
+                                << " refine=" << iterations;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(BmaTest, SingleReadPassesThrough)
 {
     dna::Sequence read("ACGTACGTAC");

@@ -3,6 +3,11 @@
  * Unit tests for the Sequence type and nucleotide helpers.
  */
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -21,6 +26,35 @@ TEST(BaseTest, InvalidCharThrows)
 {
     EXPECT_THROW(charToBase('N'), FatalError);
     EXPECT_THROW(charToBase('a'), FatalError);
+}
+
+// Every one of the 256 char values, so the branch-free decoding can
+// never accept a byte that is not a base: lower case, 'N', 'U', '\0'
+// and the bytes >= 0x80 (negative chars where char is signed) must
+// all be refused by all three entry points.
+TEST(BaseTest, DecodesExactlyTheFourBasesOfAllBytes)
+{
+    const std::pair<char, Base> bases[] = {
+        {'A', Base::A}, {'C', Base::C}, {'G', Base::G}, {'T', Base::T}};
+    size_t rejected = 0;
+    for (int v = 0; v < 256; ++v) {
+        const char c = static_cast<char>(v);
+        const std::string where = "byte " + std::to_string(v);
+        const auto match =
+            std::find_if(std::begin(bases), std::end(bases),
+                         [c](const auto &base) { return base.first == c; });
+        if (match != std::end(bases)) {
+            EXPECT_TRUE(isValidBaseChar(c)) << where;
+            EXPECT_EQ(charToBase(c), match->second) << where;
+            EXPECT_NO_THROW(Sequence(std::string(1, c))) << where;
+            continue;
+        }
+        ++rejected;
+        EXPECT_FALSE(isValidBaseChar(c)) << where;
+        EXPECT_THROW(charToBase(c), FatalError) << where;
+        EXPECT_THROW(Sequence(std::string(1, c)), FatalError) << where;
+    }
+    EXPECT_EQ(rejected, 252u);
 }
 
 TEST(BaseTest, Complement)
