@@ -16,20 +16,53 @@ struct Active
     const Kernels *kernels;
 };
 
+/*
+ * The one place that maps an ISA to its kernels: each entry is the
+ * implementation that measured fastest for that platform at the
+ * decoder's shapes (edit_row: 7- and 17-cell rows; minhash: 150
+ * bases, q = 8, 4 salts; gf16_syndromes: 15 columns x 4 parity x 48
+ * rows). README.md, "SIMD & memory layout", lists the timings.
+ */
+constexpr Kernels kScalarKernels = {
+    detail::editRowScalar,
+    detail::minhashScalar,
+    detail::gf16SyndromesScalar,
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+constexpr Kernels kSse42Kernels = {
+    detail::editRowSse42,
+    // Two 64-bit lanes do not repay the emulated 64x64 multiply.
+    detail::minhashScalar,
+    detail::gf16SyndromesSse42,
+};
+
+constexpr Kernels kAvx2Kernels = {
+    // 16-lane DP rows lose to 8-lane ones on 7- and 17-cell rows.
+    detail::editRowSse42,
+    detail::minhashAvx2,
+    // 48 rows are one 32-row AVX2 block plus a 16-row scalar tail.
+    detail::gf16SyndromesSse42,
+};
+#endif
+
+#if defined(__aarch64__)
+constexpr Kernels kNeonKernels = {
+    detail::editRowNeon,
+    // aarch64 has no vector 64x64 multiply.
+    detail::minhashScalar,
+    detail::gf16SyndromesNeon,
+};
+#endif
+
 Isa
 detectBest()
 {
-#if defined(__aarch64__)
-    return Isa::Neon;
-#elif defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx2"))
-        return Isa::Avx2;
-    if (__builtin_cpu_supports("sse4.2"))
-        return Isa::Sse42;
+    for (Isa isa : {Isa::Neon, Isa::Avx2, Isa::Sse42}) {
+        if (cpuSupports(isa))
+            return isa;
+    }
     return Isa::Scalar;
-#else
-    return Isa::Scalar;
-#endif
 }
 
 Isa
@@ -103,20 +136,24 @@ bestSupportedIsa()
 bool
 cpuSupports(Isa isa)
 {
-    if (isa == Isa::Scalar)
+    switch (isa) {
+    case Isa::Scalar:
         return true;
-#if defined(__aarch64__)
-    return isa == Isa::Neon;
-#elif defined(__x86_64__) || defined(__i386__)
-    if (isa == Isa::Avx2)
-        return __builtin_cpu_supports("avx2");
-    if (isa == Isa::Sse42)
+#if defined(__x86_64__) || defined(__i386__)
+    case Isa::Sse42:
         return __builtin_cpu_supports("sse4.2");
-    return false;
-#else
-    (void)isa;
-    return false;
+    case Isa::Avx2:
+        // The AVX2 table runs SSE4.2 kernels as well.
+        return __builtin_cpu_supports("avx2") &&
+               __builtin_cpu_supports("sse4.2");
 #endif
+#if defined(__aarch64__)
+    case Isa::Neon:
+        return true;
+#endif
+    default:
+        return false;
+    }
 }
 
 Isa
@@ -138,16 +175,16 @@ kernelsFor(Isa isa)
         return nullptr;
     switch (isa) {
     case Isa::Scalar:
-        return &detail::scalarKernels();
+        return &kScalarKernels;
 #if defined(__x86_64__) || defined(__i386__)
     case Isa::Sse42:
-        return &detail::sse42Kernels();
+        return &kSse42Kernels;
     case Isa::Avx2:
-        return &detail::avx2Kernels();
+        return &kAvx2Kernels;
 #endif
 #if defined(__aarch64__)
     case Isa::Neon:
-        return &detail::neonKernels();
+        return &kNeonKernels;
 #endif
     default:
         return nullptr;

@@ -1,13 +1,17 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernel layer for the per-read decode hot
- * loops (banded edit-distance rows, MinHash hashing, GF(16)/GF(256)
- * Reed-Solomon syndrome and evaluation sweeps).
+ * loops: the banded edit-distance row, MinHash hashing, and the
+ * GF(16) Reed-Solomon syndrome sweep.
  *
  * Dispatch rules:
- *  - Every kernel has a portable scalar reference implementation;
- *    the vector paths (SSE4.2 / AVX2 on x86-64, NEON on aarch64) are
- *    selected ONCE, at first use, from CPU feature detection.
+ *  - Every kernel has a portable scalar reference implementation.
+ *    Each ISA (SSE4.2 / AVX2 on x86-64, NEON on aarch64) names one
+ *    kernel table, and simd.cc fills every entry of it with the
+ *    implementation that measured fastest at the decoder's shapes on
+ *    that platform, which may be another ISA's function or the
+ *    scalar one. The table is selected ONCE, at first use, from CPU
+ *    feature detection.
  *  - All kernels are exact: for any input they produce bit-identical
  *    results on every ISA (integer min/add/xor/table-lookup only, no
  *    floating point, no reassociation of float sums). The decode
@@ -15,8 +19,9 @@
  *    thread count — therefore extends to "for any ISA", and the
  *    parity suite in tests/simd_kernels_test.cc pins it.
  *  - `DNASTORE_FORCE_ISA` (values: scalar, sse4.2, avx2, neon)
- *    overrides detection for testing; forcing an ISA the CPU cannot
- *    run is a fatal error, as is an unknown value.
+ *    selects that ISA's table instead of the detected one for
+ *    testing; forcing an ISA the CPU cannot run is a fatal error, as
+ *    is an unknown value.
  *
  * New vectorized kernels must land scalar-reference-first: the
  * scalar entry in `Kernels` defines the semantics, the vector
@@ -56,9 +61,8 @@ inline constexpr uint16_t kInf16 = 0xFFFF;
 inline constexpr size_t kEditRowPad = 16;
 
 /**
- * The kernel table. One function pointer per hot loop; every ISA
- * fills all entries (there is no per-entry fallback, which keeps the
- * parity matrix total).
+ * The kernel table. One function pointer per hot loop; every ISA's
+ * table fills all entries, so the parity matrix stays total.
  */
 struct Kernels
 {
@@ -107,35 +111,15 @@ struct Kernels
     void (*gf16_syndromes)(const uint8_t *const *cols, size_t ncols,
                            size_t parity, size_t rows,
                            const uint8_t *mul_tables, uint8_t *out);
-
-    /**
-     * GF(16) table-lookup accumulate: dst[i] ^= table16[src[i]] for
-     * i in [0, len), src values 0..15. With table16 = row c of
-     * GF16::mulTable() this is dst[i] ^= c * src[i], the core of the
-     * Chien/Forney evaluation sweeps.
-     */
-    void (*gf16_table_xor)(const uint8_t *table16, const uint8_t *src,
-                           uint8_t *dst, size_t len);
-
-    /**
-     * GF(256) multiply-by-constant accumulate via split-nibble
-     * tables: dst[i] ^= GF256::mul(c, src[i]) for i in [0, len).
-     * mul_lo/mul_hi are GF256::mulTablesLo()/Hi() (256 rows of 16):
-     * the product is mul_lo[c*16 + (s & 0xF)] ^ mul_hi[c*16 + (s >>
-     * 4)]. The tables are built from the zero-checked scalar
-     * GF256::mul, so no path — scalar or vector — ever consults the
-     * log[0] sentinel.
-     */
-    void (*gf256_mul_const_accum)(uint8_t c, const uint8_t *src,
-                                  uint8_t *dst, size_t len,
-                                  const uint8_t *mul_lo,
-                                  const uint8_t *mul_hi);
 };
 
 /** Best ISA the current CPU supports (ignores the env override). */
 Isa bestSupportedIsa();
 
-/** True if the current CPU can run @p isa. */
+/**
+ * True if the current CPU can run every kernel of @p isa's table.
+ * The AVX2 table runs SSE4.2 kernels too, so Avx2 requires both.
+ */
 bool cpuSupports(Isa isa);
 
 /**

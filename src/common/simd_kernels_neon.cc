@@ -41,6 +41,8 @@ shiftLanesInf(uint16x8_t v)
     return vextq_u16(vinf, v, 8 - K);
 }
 
+} // namespace
+
 uint16_t
 editRowNeon(const uint8_t *b, uint8_t a_ch, const uint16_t *prev,
             uint16_t *curr, size_t lo, size_t hi, uint16_t carry_in)
@@ -81,36 +83,6 @@ editRowNeon(const uint8_t *b, uint8_t a_ch, const uint16_t *prev,
     return vminvq_u16(vrowmin);
 }
 
-uint64_t
-mix64Scalar(uint64_t state)
-{
-    uint64_t z = state + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/**
- * aarch64 has no vector 64x64 multiply and its scalar 64-bit MUL is
- * single-cycle-ish, so the hash itself stays scalar; the win on NEON
- * comes from the DP-row and GF kernels.
- */
-void
-minhashNeon(const uint8_t *bases, size_t len, size_t q, uint64_t mask,
-            const uint64_t *salts, size_t num_salts, uint64_t *out)
-{
-    for (size_t s = 0; s < num_salts; ++s)
-        out[s] = UINT64_MAX;
-    uint64_t packed = 0;
-    for (size_t i = 0; i < len; ++i) {
-        packed = ((packed << 2) | bases[i]) & mask;
-        if (i + 1 < q)
-            continue;
-        for (size_t s = 0; s < num_salts; ++s)
-            out[s] = std::min(out[s], mix64Scalar(packed ^ salts[s]));
-    }
-}
-
 void
 gf16SyndromesNeon(const uint8_t *const *cols, size_t ncols,
                   size_t parity, size_t rows,
@@ -136,57 +108,6 @@ gf16SyndromesNeon(const uint8_t *const *cols, size_t ncols,
             dst[r] = acc;
         }
     }
-}
-
-void
-gf16TableXorNeon(const uint8_t *table16, const uint8_t *src,
-                 uint8_t *dst, size_t len)
-{
-    const uint8x16_t tbl = vld1q_u8(table16);
-    size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-        uint8x16_t s = vld1q_u8(src + i);
-        uint8x16_t d = vld1q_u8(dst + i);
-        vst1q_u8(dst + i, veorq_u8(d, vqtbl1q_u8(tbl, s)));
-    }
-    for (; i < len; ++i)
-        dst[i] ^= table16[src[i]];
-}
-
-void
-gf256MulConstAccumNeon(uint8_t c, const uint8_t *src, uint8_t *dst,
-                       size_t len, const uint8_t *mul_lo,
-                       const uint8_t *mul_hi)
-{
-    const uint8_t *lo8 = mul_lo + static_cast<size_t>(c) * 16;
-    const uint8_t *hi8 = mul_hi + static_cast<size_t>(c) * 16;
-    const uint8x16_t tlo = vld1q_u8(lo8);
-    const uint8x16_t thi = vld1q_u8(hi8);
-    const uint8x16_t nib = vdupq_n_u8(0x0F);
-    size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-        uint8x16_t s = vld1q_u8(src + i);
-        uint8x16_t d = vld1q_u8(dst + i);
-        uint8x16_t lo = vandq_u8(s, nib);
-        uint8x16_t hi = vshrq_n_u8(s, 4);
-        uint8x16_t prod =
-            veorq_u8(vqtbl1q_u8(tlo, lo), vqtbl1q_u8(thi, hi));
-        vst1q_u8(dst + i, veorq_u8(d, prod));
-    }
-    for (; i < len; ++i)
-        dst[i] ^= lo8[src[i] & 0xF] ^ hi8[src[i] >> 4];
-}
-
-} // namespace
-
-const Kernels &
-neonKernels()
-{
-    static const Kernels table = {
-        editRowNeon,      minhashNeon,           gf16SyndromesNeon,
-        gf16TableXorNeon, gf256MulConstAccumNeon,
-    };
-    return table;
 }
 
 } // namespace dnastore::simd::detail

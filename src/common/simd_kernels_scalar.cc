@@ -1,9 +1,9 @@
 /**
  * @file
  * Portable scalar reference kernels. These define the semantics the
- * vector implementations must reproduce bit-for-bit; they are also
- * the active table when DNASTORE_FORCE_ISA=scalar or the CPU offers
- * no vector extension we target.
+ * vector implementations must reproduce bit-for-bit. They make up
+ * the scalar table, and the other tables use one wherever no vector
+ * path beats it (see simd.cc).
  */
 
 #include <algorithm>
@@ -20,6 +20,18 @@ addSat(uint16_t a, uint16_t b)
     uint32_t sum = static_cast<uint32_t>(a) + b;
     return sum > kInf16 ? kInf16 : static_cast<uint16_t>(sum);
 }
+
+/** Same mix as dnastore::splitMix64 (common/rng.cc). */
+uint64_t
+mix64(uint64_t state)
+{
+    uint64_t z = state + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+} // namespace
 
 uint16_t
 editRowScalar(const uint8_t *b, uint8_t a_ch, const uint16_t *prev,
@@ -41,16 +53,6 @@ editRowScalar(const uint8_t *b, uint8_t a_ch, const uint16_t *prev,
     for (size_t j = hi + 1; j <= hi + kEditRowPad; ++j)
         curr[j] = kInf16;
     return row_min;
-}
-
-/** Same mix as dnastore::splitMix64 (common/rng.cc). */
-uint64_t
-mix64(uint64_t state)
-{
-    uint64_t z = state + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 void
@@ -84,37 +86,6 @@ gf16SyndromesScalar(const uint8_t *const *cols, size_t ncols,
                 dst[r] = tbl[dst[r]] ^ col[r];
         }
     }
-}
-
-void
-gf16TableXorScalar(const uint8_t *table16, const uint8_t *src,
-                   uint8_t *dst, size_t len)
-{
-    for (size_t i = 0; i < len; ++i)
-        dst[i] ^= table16[src[i]];
-}
-
-void
-gf256MulConstAccumScalar(uint8_t c, const uint8_t *src, uint8_t *dst,
-                         size_t len, const uint8_t *mul_lo,
-                         const uint8_t *mul_hi)
-{
-    const uint8_t *lo = mul_lo + static_cast<size_t>(c) * 16;
-    const uint8_t *hi = mul_hi + static_cast<size_t>(c) * 16;
-    for (size_t i = 0; i < len; ++i)
-        dst[i] ^= lo[src[i] & 0xF] ^ hi[src[i] >> 4];
-}
-
-} // namespace
-
-const Kernels &
-scalarKernels()
-{
-    static const Kernels table = {
-        editRowScalar,     minhashScalar,           gf16SyndromesScalar,
-        gf16TableXorScalar, gf256MulConstAccumScalar,
-    };
-    return table;
 }
 
 } // namespace dnastore::simd::detail

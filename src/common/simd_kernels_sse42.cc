@@ -2,7 +2,8 @@
  * @file
  * SSE4.2 kernels (8 uint16 lanes / 16 byte lanes). This translation
  * unit is compiled with -msse4.2 and its symbols are only reachable
- * through the dispatch table after a cpuSupports(Sse42) check.
+ * through the SSE4.2 and AVX2 tables, after a cpuSupports() check
+ * that requires SSE4.2 for both.
  *
  * Every function must produce bit-identical results to the scalar
  * reference in simd_kernels_scalar.cc (pinned by
@@ -12,7 +13,6 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <algorithm>
-#include <cstring>
 
 #include <immintrin.h>
 
@@ -57,6 +57,8 @@ shiftLanesInf(__m128i v)
 {
     return _mm_or_si128(_mm_slli_si128(v, 2 * K), headMask<K>());
 }
+
+} // namespace
 
 uint16_t
 editRowSse42(const uint8_t *b, uint8_t a_ch, const uint16_t *prev,
@@ -108,87 +110,6 @@ editRowSse42(const uint8_t *b, uint8_t a_ch, const uint16_t *prev,
         _mm_extract_epi16(_mm_minpos_epu16(vrowmin), 0));
 }
 
-/** Low 64 bits of a 64x64 multiply, per lane. */
-__m128i
-mul64(__m128i a, __m128i b)
-{
-    __m128i lo = _mm_mul_epu32(a, b);
-    __m128i cross =
-        _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), b),
-                      _mm_mul_epu32(a, _mm_srli_epi64(b, 32)));
-    return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
-}
-
-/** splitMix64 output step over two lanes. */
-__m128i
-mix64(__m128i state)
-{
-    const __m128i gamma = _mm_set1_epi64x(
-        static_cast<long long>(0x9e3779b97f4a7c15ULL));
-    const __m128i c1 = _mm_set1_epi64x(
-        static_cast<long long>(0xbf58476d1ce4e5b9ULL));
-    const __m128i c2 = _mm_set1_epi64x(
-        static_cast<long long>(0x94d049bb133111ebULL));
-    __m128i z = _mm_add_epi64(state, gamma);
-    z = mul64(_mm_xor_si128(z, _mm_srli_epi64(z, 30)), c1);
-    z = mul64(_mm_xor_si128(z, _mm_srli_epi64(z, 27)), c2);
-    return _mm_xor_si128(z, _mm_srli_epi64(z, 31));
-}
-
-/** Unsigned 64-bit min via sign-flipped signed compare. */
-__m128i
-umin64(__m128i a, __m128i b)
-{
-    const __m128i sign = _mm_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ULL));
-    __m128i a_gt_b = _mm_cmpgt_epi64(_mm_xor_si128(a, sign),
-                                     _mm_xor_si128(b, sign));
-    return _mm_blendv_epi8(a, b, a_gt_b);
-}
-
-uint64_t
-mix64Scalar(uint64_t state)
-{
-    uint64_t z = state + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-void
-minhashSse42(const uint8_t *bases, size_t len, size_t q, uint64_t mask,
-             const uint64_t *salts, size_t num_salts, uint64_t *out)
-{
-    size_t s = 0;
-    for (; s + 2 <= num_salts; s += 2) {
-        __m128i vsalts = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(salts + s));
-        __m128i best = _mm_set1_epi64x(-1);
-        uint64_t packed = 0;
-        for (size_t i = 0; i < len; ++i) {
-            packed = ((packed << 2) | bases[i]) & mask;
-            if (i + 1 < q)
-                continue;
-            __m128i state = _mm_xor_si128(
-                _mm_set1_epi64x(static_cast<long long>(packed)),
-                vsalts);
-            best = umin64(best, mix64(state));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + s), best);
-    }
-    for (; s < num_salts; ++s) {
-        uint64_t best = UINT64_MAX;
-        uint64_t packed = 0;
-        for (size_t i = 0; i < len; ++i) {
-            packed = ((packed << 2) | bases[i]) & mask;
-            if (i + 1 < q)
-                continue;
-            best = std::min(best, mix64Scalar(packed ^ salts[s]));
-        }
-        out[s] = best;
-    }
-}
-
 void
 gf16SyndromesSse42(const uint8_t *const *cols, size_t ncols,
                    size_t parity, size_t rows,
@@ -217,67 +138,6 @@ gf16SyndromesSse42(const uint8_t *const *cols, size_t ncols,
             dst[r] = acc;
         }
     }
-}
-
-void
-gf16TableXorSse42(const uint8_t *table16, const uint8_t *src,
-                  uint8_t *dst, size_t len)
-{
-    const __m128i tbl = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(table16));
-    size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-        __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        __m128i d = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(dst + i));
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(dst + i),
-            _mm_xor_si128(d, _mm_shuffle_epi8(tbl, s)));
-    }
-    for (; i < len; ++i)
-        dst[i] ^= table16[src[i]];
-}
-
-void
-gf256MulConstAccumSse42(uint8_t c, const uint8_t *src, uint8_t *dst,
-                        size_t len, const uint8_t *mul_lo,
-                        const uint8_t *mul_hi)
-{
-    const uint8_t *lo8 = mul_lo + static_cast<size_t>(c) * 16;
-    const uint8_t *hi8 = mul_hi + static_cast<size_t>(c) * 16;
-    const __m128i tlo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo8));
-    const __m128i thi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi8));
-    const __m128i nib = _mm_set1_epi8(0x0F);
-    size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-        __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        __m128i d = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(dst + i));
-        __m128i lo = _mm_and_si128(s, nib);
-        __m128i hi = _mm_and_si128(_mm_srli_epi16(s, 4), nib);
-        __m128i prod = _mm_xor_si128(_mm_shuffle_epi8(tlo, lo),
-                                     _mm_shuffle_epi8(thi, hi));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm_xor_si128(d, prod));
-    }
-    for (; i < len; ++i)
-        dst[i] ^= lo8[src[i] & 0xF] ^ hi8[src[i] >> 4];
-}
-
-} // namespace
-
-const Kernels &
-sse42Kernels()
-{
-    static const Kernels table = {
-        editRowSse42,      minhashSse42,           gf16SyndromesSse42,
-        gf16TableXorSse42, gf256MulConstAccumSse42,
-    };
-    return table;
 }
 
 } // namespace dnastore::simd::detail

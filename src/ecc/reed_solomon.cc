@@ -134,6 +134,8 @@ ReedSolomon::decode(const std::vector<uint8_t> &received,
         fatalIf(pos >= n_, "erasure position out of range");
         word[pos] = 0;
     }
+    for (uint8_t symbol : word)
+        fatalIf(symbol > 0xf, "RS symbol out of GF(16) range");
 
     std::vector<uint8_t> syndromes = computeSyndromes(word);
     return decodeWithSyndromes(std::move(word), erasures,

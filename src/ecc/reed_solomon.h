@@ -58,7 +58,8 @@ class ReedSolomon
     /**
      * Decode a received word with optional erasure positions
      * (indexes into the codeword). Erased positions may hold any
-     * value. Returns the corrected codeword or failure.
+     * value; any other symbol above 15 raises FatalError, as in
+     * encode(). Returns the corrected codeword or failure.
      */
     RsDecodeResult decode(const std::vector<uint8_t> &received,
                           const std::vector<size_t> &erasures = {}) const;

@@ -185,6 +185,25 @@ TEST(ReedSolomonTest, RejectsBadParameters)
                  dnastore::FatalError);
 }
 
+TEST(ReedSolomonTest, DecodeRejectsOutOfRangeSymbols)
+{
+    ReedSolomon rs(15, 11);
+    dnastore::Rng rng(10);
+    const std::vector<uint8_t> codeword = rs.encode(randomData(rng, 11));
+    for (uint8_t bad : {uint8_t{0x10}, uint8_t{0xFF}}) {
+        std::vector<uint8_t> received = codeword;
+        received[6] = bad;
+        EXPECT_THROW(rs.decode(received), dnastore::FatalError);
+        EXPECT_THROW(rs.decode(received, {2}), dnastore::FatalError);
+    }
+    // An erased position may hold any value.
+    std::vector<uint8_t> received = codeword;
+    received[6] = 0xFF;
+    RsDecodeResult result = rs.decode(received, {6});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(*result.codeword, codeword);
+}
+
 /** Property sweep: every (errors, erasures) combo within capability. */
 class RsCapabilityTest
     : public ::testing::TestWithParam<std::pair<int, int>>

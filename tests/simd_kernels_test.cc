@@ -9,9 +9,8 @@
  * shorter than a vector). This is what extends the decode pipeline's
  * determinism contract from "any thread count" to "any ISA".
  *
- * Also pins the GF zero-handling contract the kernels depend on: the
- * PSHUFB-shaped multiply tables are built from the zero-checked
- * scalar mul(), so no SIMD path ever consults the log[0] sentinel.
+ * The GF(16) multiply tables the syndrome kernel consumes are pinned
+ * against the zero-checked scalar mul() in tests/gf16_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,17 +19,14 @@
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "ecc/gf16.h"
-#include "ecc/gf256.h"
 
 namespace dnastore::simd {
 namespace {
 
 using ecc::GF16;
-using ecc::GF256;
 
 /** Every vector ISA the dispatcher can actually run here. */
 std::vector<Isa>
@@ -76,6 +72,15 @@ TEST(SimdDispatchTest, IsaNamesAreStable)
     EXPECT_STREQ(isaName(Isa::Sse42), "sse4.2");
     EXPECT_STREQ(isaName(Isa::Avx2), "avx2");
     EXPECT_STREQ(isaName(Isa::Neon), "neon");
+}
+
+TEST(SimdDispatchTest, Avx2TableRequiresSse42)
+{
+    // The AVX2 table runs the SSE4.2 edit_row and syndrome kernels.
+    if (cpuSupports(Isa::Avx2)) {
+        EXPECT_TRUE(cpuSupports(Isa::Sse42));
+        EXPECT_NE(kernelsFor(Isa::Sse42), nullptr);
+    }
 }
 
 TEST(SimdDispatchTest, ScopedForceIsaRoundTrips)
@@ -243,137 +248,6 @@ TEST(SimdKernelParityTest, Gf16SyndromesMatchScalarAndHorner)
                 << ncols << " rows=" << rows;
         }
     }
-}
-
-TEST(SimdKernelParityTest, Gf16TableXorMatchesScalar)
-{
-    const std::vector<Isa> isas = vectorIsas();
-    const Kernels &scalar = scalarRef();
-    Rng rng(0x51AD'0004);
-    for (int trial = 0; trial < 200; ++trial) {
-        const size_t len = 1 + rng.nextBelow(150);
-        const uint8_t c = static_cast<uint8_t>(rng.nextBelow(16));
-        const uint8_t *table = GF16::mulTable(c);
-        std::vector<uint8_t> src(len);
-        for (uint8_t &v : src)
-            v = static_cast<uint8_t>(rng.nextBelow(16));
-        std::vector<uint8_t> base(len);
-        for (uint8_t &v : base)
-            v = static_cast<uint8_t>(rng.nextBelow(256));
-
-        std::vector<uint8_t> want = base;
-        scalar.gf16_table_xor(table, src.data(), want.data(), len);
-        for (size_t i = 0; i < len; ++i) {
-            ASSERT_EQ(want[i],
-                      static_cast<uint8_t>(base[i] ^
-                                           GF16::mul(c, src[i])));
-        }
-        for (Isa isa : isas) {
-            std::vector<uint8_t> got = base;
-            kernelsFor(isa)->gf16_table_xor(table, src.data(),
-                                            got.data(), len);
-            ASSERT_EQ(got, want)
-                << isaName(isa) << " trial " << trial;
-        }
-    }
-}
-
-TEST(SimdKernelParityTest, Gf256MulConstAccumMatchesScalar)
-{
-    const std::vector<Isa> isas = vectorIsas();
-    const Kernels &scalar = scalarRef();
-    const uint8_t *mul_lo = GF256::mulTablesLo();
-    const uint8_t *mul_hi = GF256::mulTablesHi();
-    Rng rng(0x51AD'0005);
-    for (int trial = 0; trial < 200; ++trial) {
-        const size_t len = 1 + rng.nextBelow(300);
-        // Bias toward the interesting constants 0 and 1.
-        const uint8_t c =
-            trial < 8 ? static_cast<uint8_t>(trial % 2)
-                      : static_cast<uint8_t>(rng.nextBelow(256));
-        std::vector<uint8_t> src(len);
-        for (uint8_t &v : src)
-            v = static_cast<uint8_t>(rng.nextBelow(256));
-        std::vector<uint8_t> base(len);
-        for (uint8_t &v : base)
-            v = static_cast<uint8_t>(rng.nextBelow(256));
-
-        std::vector<uint8_t> want = base;
-        scalar.gf256_mul_const_accum(c, src.data(), want.data(), len,
-                                     mul_lo, mul_hi);
-        for (size_t i = 0; i < len; ++i) {
-            ASSERT_EQ(want[i],
-                      static_cast<uint8_t>(base[i] ^
-                                           GF256::mul(c, src[i])));
-        }
-        for (Isa isa : isas) {
-            std::vector<uint8_t> got = base;
-            kernelsFor(isa)->gf256_mul_const_accum(
-                c, src.data(), got.data(), len, mul_lo, mul_hi);
-            ASSERT_EQ(got, want)
-                << isaName(isa) << " trial " << trial << " c="
-                << static_cast<int>(c);
-        }
-    }
-}
-
-// The GF tables the kernels consume are built from the zero-checked
-// scalar mul(), so multiplication by or of zero is exactly zero and
-// the log[0] sentinel is never read (an accidental read would show up
-// here as a nonzero product in row or column 0).
-
-TEST(SimdGfTableTest, Gf16MulTableMatchesCheckedMul)
-{
-    for (unsigned c = 0; c < 16; ++c) {
-        const uint8_t *row =
-            GF16::mulTable(static_cast<uint8_t>(c));
-        for (unsigned v = 0; v < 16; ++v) {
-            ASSERT_EQ(row[v],
-                      GF16::mul(static_cast<uint8_t>(c),
-                                static_cast<uint8_t>(v)));
-        }
-        ASSERT_EQ(row[0], 0);
-        ASSERT_EQ(GF16::mulTable(0)[c], 0);
-    }
-}
-
-TEST(SimdGfTableTest, Gf256NibbleTablesMatchCheckedMul)
-{
-    const uint8_t *lo = GF256::mulTablesLo();
-    const uint8_t *hi = GF256::mulTablesHi();
-    for (unsigned c = 0; c < 256; ++c) {
-        for (unsigned v = 0; v < 16; ++v) {
-            ASSERT_EQ(lo[c * 16 + v],
-                      GF256::mul(static_cast<uint8_t>(c),
-                                 static_cast<uint8_t>(v)));
-            ASSERT_EQ(hi[c * 16 + v],
-                      GF256::mul(static_cast<uint8_t>(c),
-                                 static_cast<uint8_t>(v << 4)));
-        }
-        // Split-nibble recomposition over the full byte range.
-        for (unsigned x = 0; x < 256; x += 37) {
-            ASSERT_EQ(static_cast<uint8_t>(lo[c * 16 + (x & 0xF)] ^
-                                           hi[c * 16 + (x >> 4)]),
-                      GF256::mul(static_cast<uint8_t>(c),
-                                 static_cast<uint8_t>(x)));
-        }
-        ASSERT_EQ(lo[c * 16], 0);
-        ASSERT_EQ(hi[c * 16], 0);
-    }
-    for (unsigned v = 0; v < 16; ++v) {
-        ASSERT_EQ(lo[v], 0);  // row c=0 is all zero
-        ASSERT_EQ(hi[v], 0);
-    }
-}
-
-TEST(SimdGfTableTest, ZeroLogSentinelsAreOutOfRange)
-{
-    // The sentinel must not be a valid exponent, so an accidental
-    // log[0] read cannot alias a real discrete log.
-    EXPECT_GE(GF16::kZeroLogSentinel, GF16::kMultGroupOrder);
-    EXPECT_GE(GF256::kZeroLogSentinel, GF256::kMultGroupOrder);
-    EXPECT_THROW(GF16::log(0), dnastore::PanicError);
-    EXPECT_THROW(GF256::log(0), dnastore::PanicError);
 }
 
 } // namespace
