@@ -374,6 +374,9 @@ BM_PcrReaction(benchmark::State &state)
 }
 BENCHMARK(BM_PcrReaction);
 
+/** perfbench's PCR mismatch penalty. */
+constexpr double kDevicePenalty = 1.0;
+
 /** A written 256-block device at perfbench's PCR penalty, built on
  *  first use and shared by the device rows. */
 core::BlockDevice &
@@ -381,7 +384,7 @@ sharedDevice()
 {
     static const std::unique_ptr<core::BlockDevice> device = [] {
         core::BlockDeviceParams params;
-        params.pcr.mismatch_penalty = 1.0;
+        params.pcr.mismatch_penalty = kDevicePenalty;
         auto built = std::make_unique<core::BlockDevice>(
             params, dna::Sequence("ACTGAGGTCTGCCTGAAGTC"),
             dna::Sequence("TGAACGCGGTATTGCAGACC"));
@@ -409,6 +412,36 @@ BM_DeviceSequenceRange(benchmark::State &state)
 }
 BENCHMARK(BM_DeviceSequenceRange)->Arg(1)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+/** The sequencing channel alone: 19,200 reads (a 16-block range
+ *  read's budget) from the product of the shared device's 16-block
+ *  range PCR, at the default SequencerParams. */
+void
+BM_SequencePool(benchmark::State &state)
+{
+    core::BlockDevice &device = sharedDevice();
+    const core::BlockDeviceParams defaults;
+    sim::PcrParams pcr = defaults.pcr;
+    pcr.mismatch_penalty = kDevicePenalty;
+    pcr.cycles = defaults.block_access_cycles;
+    pcr.stringency = sim::touchdownSchedule(defaults.touchdown_cycles,
+                                            defaults.block_access_cycles);
+    std::vector<sim::PcrPrimer> primers;
+    const std::vector<dna::Sequence> cover =
+        device.partition().rangePrimers(0, 15);
+    for (const dna::Sequence &seq : cover)
+        primers.push_back({seq, 1.0 / static_cast<double>(cover.size())});
+    const sim::Pool product = sim::runPcr(
+        device.pool(), primers, device.partition().reversePrimer(), pcr);
+    sim::SequencerParams params;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sim::sequencePool(product, 19200, params));
+        ++params.seed;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            19200);
+}
+BENCHMARK(BM_SequencePool)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -33,23 +33,10 @@ Rng::Rng(uint64_t seed)
         word = splitMix64(state);
 }
 
-uint64_t
-Rng::nextBelow(uint64_t bound)
+void
+Rng::zeroBoundPanic()
 {
-    panicIf(bound == 0, "Rng::nextBelow called with bound 0");
-    // Lemire's multiply-shift rejection method.
-    uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    uint64_t low = static_cast<uint64_t>(m);
-    if (low < bound) {
-        uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<uint64_t>(m);
-        }
-    }
-    return static_cast<uint64_t>(m >> 64);
+    panic("Rng::nextBelow called with bound 0");
 }
 
 int64_t

@@ -13,6 +13,7 @@
 #ifndef DNASTORE_COMMON_RNG_H
 #define DNASTORE_COMMON_RNG_H
 
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -50,17 +51,69 @@ class Rng
         return result;
     }
 
-    /** Uniform integer in [0, bound) using Lemire rejection. */
-    uint64_t nextBelow(uint64_t bound);
+    /** Uniform integer in [0, bound) using Lemire rejection. Inline,
+     *  like every draw a hot loop makes, so a caller's local Rng can
+     *  live in registers. */
+    uint64_t
+    nextBelow(uint64_t bound)
+    {
+        if (bound == 0) [[unlikely]]
+            zeroBoundPanic();
+        // Lemire's multiply-shift rejection method.
+        uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        uint64_t low = static_cast<uint64_t>(m);
+        if (low < bound) [[unlikely]] {
+            uint64_t threshold = -bound % bound;
+            while (low < threshold) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * bound;
+                low = static_cast<uint64_t>(m);
+            }
+        }
+        return static_cast<uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t nextInRange(int64_t lo, int64_t hi);
 
-    /** Uniform double in [0, 1). */
+    /** Uniform double in [0, 1): k * 2^-53 for the draw's top 53
+     *  bits k. Both steps are exact, so the value is k * 2^-53. */
     double
     nextDouble()
     {
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
+
+    /**
+     * The integer form of nextBool(p): ceil(p * 2^53), clamped to
+     * [0, 2^53]. For the draw's top 53 bits k, nextDouble() < p holds
+     * exactly when k < bernoulliThreshold(p):
+     *  - nextDouble() is k * 2^-53 exactly (see above);
+     *  - k * 2^-53 < p  <=>  k < p * 2^53, and p * 2^53 is exact in a
+     *    double (a power-of-two scale of a p in (0, 1));
+     *  - for an integer k, k < x  <=>  k < ceil(x), and std::ceil is
+     *    exact.
+     * p <= 0 (or NaN) gives 0, which no draw passes; p >= 1 gives
+     * 2^53, which every draw passes. Only p > 0 gives a non-zero
+     * threshold.
+     */
+    static uint64_t
+    bernoulliThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 53;
+        return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** nextBool(p) for @p threshold = bernoulliThreshold(p): the same
+     *  draw and the same outcome, without the conversion to double. */
+    bool
+    nextBernoulli(uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
     }
 
     /** Standard normal variate (Box-Muller). */
@@ -97,6 +150,9 @@ class Rng
     static uint64_t deriveSeed(uint64_t seed, uint64_t index);
 
   private:
+    /** Raise the PanicError of nextBelow(0). */
+    [[noreturn]] static void zeroBoundPanic();
+
     static uint64_t
     rotl(uint64_t x, int k)
     {

@@ -209,31 +209,40 @@ BlockDevice::resolveBlock(
     // container. Any other pointer is a bad record: the chain ends
     // at the bytes assembled so far.
     uint64_t ceiling = partition_.tree().leafCount();
-    std::map<uint64_t, BlockVersions> extra = units;
+    // Units decoded by this block's own hops. A container already in
+    // @p units wins over a fetched copy, and an earlier hop's copy
+    // over a later one.
+    std::map<uint64_t, BlockVersions> fetched;
+    auto lookup = [&](uint64_t container) -> const BlockVersions * {
+        auto found = units.find(container);
+        if (found != units.end())
+            return &found->second;
+        auto hop = fetched.find(container);
+        return hop == fetched.end() ? nullptr : &hop->second;
+    };
     while (overflow) {
         uint64_t container = *overflow;
         if (container <= data_blocks_ || container >= ceiling)
             break;
         ceiling = container;
-        auto container_it = extra.find(container);
-        if (container_it == extra.end()) {
+        const BlockVersions *versions = lookup(container);
+        if (!versions) {
             // Overflow hop: one more targeted round trip.
             std::vector<sim::Read> reads = roundTrip(
                 {sim::PcrPrimer{partition_.blockPrimer(container),
                                 1.0}},
                 params_.reads_per_block_access);
             DecodeStats stats;
-            auto fetched = decodeReads(std::move(reads), &stats,
-                                       service, tenant, trace);
-            for (auto &entry : fetched)
-                extra.insert(entry);
-            container_it = extra.find(container);
-            if (container_it == extra.end())
+            for (auto &entry : decodeReads(std::move(reads), &stats,
+                                           service, tenant, trace))
+                fetched.insert(std::move(entry));
+            versions = lookup(container);
+            if (!versions)
                 return std::nullopt;  // overflow data unrecoverable
         }
         // Containers hold records in every slot (0..2, 3 = pointer).
-        current = decoder_.applyUpdateChain(
-            current, container_it->second, &overflow, 0);
+        current = decoder_.applyUpdateChain(current, *versions,
+                                            &overflow, 0);
     }
     return current;
 }

@@ -297,53 +297,62 @@ alignPrimerToPrefix(const Sequence &primer, const Sequence &template_seq,
     return result;
 }
 
-WeightedAlignment
-alignPrimerWeighted(const Sequence &primer, const Sequence &template_seq,
-                    size_t band, size_t three_prime_window,
-                    double three_prime_factor, double gap_factor)
-{
-    WeightedAlignment result;
-    const std::string &p = primer.str();
-    const std::string &t = template_seq.str();
-    const size_t m = p.size();
-    const size_t n = std::min(t.size(), m + band);
-    if (m > n + band)
-        return result;
+namespace {
 
+/**
+ * The banded DP of alignPrimerWeighted(), rows [@p first, m], over
+ * rows stored @p stride doubles apart; rows below @p first must
+ * already hold this primer's DP over this template's window. Returns
+ * the best end over row m, and sets @p valid to the number of rows,
+ * from row 0, that now hold the DP.
+ *
+ * Gap-weight convention: every gap is charged at the weight of the
+ * primer position it sits at. A template base consumed before the
+ * primer's 5' end (row 0) or under primer base i-1 (rows i >= 1, the
+ * curr[j-1] transition) is an opening/extra template base at that
+ * primer position; a bulged-out primer base i-1 (the prev[j]
+ * transition) likewise charges its own position. Row 0 therefore uses
+ * weight(0) and every row i >= 1 uses weight(i - 1) for both gap
+ * kinds — pinned literally by distance_test's WeightedGapConvention
+ * tests.
+ *
+ * This stays scalar double arithmetic: reassociating the float sums
+ * (as a vector prefix-min would) could move accepted primers by an
+ * ulp, breaking the golden outputs.
+ */
+WeightedAlignment
+weightedRows(const std::string &p, const char *t, size_t n, size_t band,
+             size_t three_prime_window, double three_prime_factor,
+             double gap_factor, double *rows, size_t stride,
+             size_t first, size_t &valid)
+{
+    const size_t m = p.size();
     auto weight = [&](size_t primer_pos) {
         return primer_pos + three_prime_window >= m
                    ? three_prime_factor
                    : 1.0;
     };
 
-    // Gap-weight convention: every gap is charged at the weight of
-    // the primer position it sits at. A template base consumed
-    // before the primer's 5' end (row 0) or under primer base i-1
-    // (rows i >= 1, the curr[j-1] transition) is an opening/extra
-    // template base at that primer position; a bulged-out primer
-    // base i-1 (the prev[j] transition) likewise charges its own
-    // position. Row 0 therefore uses weight(0) and every row i >= 1
-    // uses weight(i - 1) for both gap kinds — pinned literally by
-    // distance_test's WeightedGapConvention tests.
-    //
-    // This stays scalar double arithmetic: reassociating the float
-    // sums (as a vector prefix-min would) could move accepted
-    // primers by an ulp, breaking the golden outputs.
-    Arena &arena = Arena::scratch();
-    ArenaScope scope(arena);
-    double *prev = arena.allocArray<double>(n + 1);
-    double *curr = arena.allocArray<double>(n + 1);
-    std::fill(prev, prev + n + 1, kWeightInfinity);
-    for (size_t j = 0; j <= std::min(n, band); ++j)
-        prev[j] = static_cast<double>(j) * gap_factor * weight(0);
-    // Row i writes curr[lo-1 .. hi+1] (the two edge cells infinite
-    // unless curr[0] is a real cost) and row i+1 reads no cell
-    // outside that span, so the rest of the row needs no refill.
-    for (size_t i = 1; i <= m; ++i) {
+    // Row i writes cells [lo-1, hi+1] (the two edge cells infinite
+    // unless cell 0 is a real cost), and row i+1 reads no cell
+    // outside that span, so no row needs a fill. Row 0's span is
+    // [0, min(n, band) + 1]. The stride leaves room for cell n + 1.
+    if (first == 0) {
+        const size_t end = std::min(n, band);
+        for (size_t j = 0; j <= end; ++j)
+            rows[j] = static_cast<double>(j) * gap_factor * weight(0);
+        rows[end + 1] = kWeightInfinity;
+        first = 1;
+    }
+    for (size_t i = first; i <= m; ++i) {
+        const double *prev = rows + (i - 1) * stride;
+        double *curr = rows + i * stride;
         size_t lo = i > band ? i - band : 1;
         size_t hi = std::min(n, i + band);
-        if (lo > hi)
-            return result;
+        if (lo > hi) {
+            valid = i;
+            return WeightedAlignment{};
+        }
         if (lo == 1 && i <= band) {
             curr[0] = prev[0] == kWeightInfinity
                           ? kWeightInfinity
@@ -351,8 +360,7 @@ alignPrimerWeighted(const Sequence &primer, const Sequence &template_seq,
         } else {
             curr[lo - 1] = kWeightInfinity;
         }
-        if (hi < n)
-            curr[hi + 1] = kWeightInfinity;
+        curr[hi + 1] = kWeightInfinity;
         for (size_t j = lo; j <= hi; ++j) {
             double sub_cost =
                 p[i - 1] == t[j - 1] ? 0.0 : weight(i - 1);
@@ -364,17 +372,84 @@ alignPrimerWeighted(const Sequence &primer, const Sequence &template_seq,
                             curr[j - 1] + gap_factor * weight(i - 1));
             curr[j] = best;
         }
-        std::swap(prev, curr);
     }
+    valid = m + 1;
 
-    size_t lo = m > band ? m - band : 0;
-    for (size_t j = lo; j <= n; ++j) {
-        if (prev[j] < result.cost) {
-            result.cost = prev[j];
+    WeightedAlignment result;
+    const double *last = rows + m * stride;
+    for (size_t j = m > band ? m - band : 0; j <= n; ++j) {
+        if (last[j] < result.cost) {
+            result.cost = last[j];
             result.template_consumed = j;
         }
     }
     return result;
+}
+
+} // namespace
+
+WeightedAlignment
+alignPrimerWeighted(const Sequence &primer, const Sequence &template_seq,
+                    size_t band, size_t three_prime_window,
+                    double three_prime_factor, double gap_factor)
+{
+    const std::string &p = primer.str();
+    const size_t m = p.size();
+    const size_t n = std::min(template_seq.size(), m + band);
+    if (m > n + band)
+        return WeightedAlignment{};
+    Arena &arena = Arena::scratch();
+    ArenaScope scope(arena);
+    const size_t stride = n + 2;
+    double *rows = arena.allocArray<double>((m + 1) * stride);
+    size_t valid = 0;
+    return weightedRows(p, template_seq.str().data(), n, band,
+                        three_prime_window, three_prime_factor,
+                        gap_factor, rows, stride, 0, valid);
+}
+
+PrimerAligner::PrimerAligner(const Sequence &primer, size_t band,
+                             size_t three_prime_window,
+                             double three_prime_factor,
+                             double gap_factor)
+    : primer_(primer.str()), band_(band),
+      three_prime_window_(three_prime_window),
+      three_prime_factor_(three_prime_factor), gap_factor_(gap_factor),
+      stride_(primer_.size() + band + 2),
+      rows_((primer_.size() + 1) * stride_)
+{}
+
+WeightedAlignment
+PrimerAligner::align(const Sequence &template_seq)
+{
+    const size_t m = primer_.size();
+    const size_t n = std::min(template_seq.size(), m + band_);
+    if (m > n + band_)
+        return WeightedAlignment{};
+    const std::string &t = template_seq.str();
+    const size_t last_n = last_.size();
+
+    // Row i reads template bases [0, E(i)), E(i) = min(n, i + band),
+    // and E(i) is its last cell. It is the last template's row when
+    // each row up to it has the same E for both templates, inside
+    // their common prefix (common <= min(n, last_n)):
+    //  - for the same window (common == n == last_n), every valid row;
+    //  - otherwise exactly the rows with i + band <= common. There E(i)
+    //    is i + band for both. Row common - band + 1 reads base
+    //    `common`, which differs, or ends one window and not the other.
+    const size_t common = static_cast<size_t>(slideDiagonal(
+        last_.data(), t.data(), 0, 0,
+        static_cast<ptrdiff_t>(std::min(last_n, n))));
+    size_t first = 0;
+    if (n == last_n && common == n)
+        first = valid_rows_;
+    else if (common >= band_)
+        first = std::min(valid_rows_, common - band_ + 1);
+
+    last_.assign(t, 0, n);
+    return weightedRows(primer_, t.data(), n, band_, three_prime_window_,
+                        three_prime_factor_, gap_factor_, rows_.data(),
+                        stride_, first, valid_rows_);
 }
 
 } // namespace dnastore::dna

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "dna/sequence.h"
 
@@ -153,6 +155,54 @@ WeightedAlignment alignPrimerWeighted(const Sequence &primer,
                                       size_t three_prime_window = 3,
                                       double three_prime_factor = 3.0,
                                       double gap_factor = 2.5);
+
+/**
+ * alignPrimerWeighted() for one primer against a run of templates,
+ * reusing DP rows across templates that share a prefix.
+ *
+ * Row i of the banded DP reads only the template bases
+ * [0, min(n, i + band)), where n = min(|template|, |primer| + band).
+ * When the next template has the same first min(n, i + band) bases
+ * and that window ends at the same place, row i (and every row
+ * before it) is the previous template's row, cell for cell. The
+ * aligner keeps all |primer| + 1 rows of the last template and
+ * restarts at the first row whose window differs. Every cell it
+ * computes comes from the same operands as in alignPrimerWeighted(),
+ * so costs and end positions are bit-identical to it.
+ *
+ * Templates in pool order share long prefixes (a block's 15
+ * molecules share its whole index), which is where the reuse pays.
+ * Not thread-safe; one aligner per primer and caller.
+ */
+class PrimerAligner
+{
+  public:
+    PrimerAligner(const Sequence &primer, size_t band,
+                  size_t three_prime_window = 3,
+                  double three_prime_factor = 3.0,
+                  double gap_factor = 2.5);
+
+    /** alignPrimerWeighted(primer, @p template_seq, ...) with the
+     *  constructor's primer and parameters. */
+    WeightedAlignment align(const Sequence &template_seq);
+
+  private:
+    std::string primer_;
+    size_t band_;
+    size_t three_prime_window_;
+    double three_prime_factor_;
+    double gap_factor_;
+
+    /** Row i at rows_[i * stride_]; stride_ = |primer| + band + 2. */
+    size_t stride_;
+    std::vector<double> rows_;
+
+    /** The first n bases of the last template the rows belong to. */
+    std::string last_;
+
+    /** How many rows, from row 0, hold the last template's DP. */
+    size_t valid_rows_ = 0;
+};
 
 } // namespace dnastore::dna
 

@@ -149,6 +149,19 @@ runPcr(const Pool &input, const std::vector<PcrPrimer> &primers,
         return idx;
     };
 
+    // One aligner per forward primer. Strands are bound in index
+    // order, and neighbouring species share most of the primer's
+    // window (a block's molecules share its index), so each
+    // alignment recomputes only the rows past the shared prefix.
+    std::vector<dna::PrimerAligner> aligners;
+    aligners.reserve(primers.size());
+    for (const PcrPrimer &primer : primers) {
+        aligners.emplace_back(primer.fwd, params.max_align_dist,
+                              params.three_prime_window,
+                              params.three_prime_factor,
+                              params.gap_factor);
+    }
+
     size_t misprimed_created = 0;
     std::vector<Binding> bindings;
     std::vector<ActiveStrand> active;  // ascending strand index
@@ -180,10 +193,7 @@ runPcr(const Pool &input, const std::vector<PcrPrimer> &primers,
         bool any = false;
         for (size_t p = 0; p < primers.size(); ++p) {
             const dna::Sequence &fwd = primers[p].fwd;
-            dna::WeightedAlignment align = dna::alignPrimerWeighted(
-                fwd, seq, params.max_align_dist,
-                params.three_prime_window, params.three_prime_factor,
-                params.gap_factor);
+            const dna::WeightedAlignment align = aligners[p].align(seq);
             if (align.cost >= dna::kWeightInfinity)
                 continue;
             if (align.template_consumed + rev.template_consumed >

@@ -41,7 +41,18 @@ struct SequencerParams
     uint64_t seed = 7;
 };
 
-/** Draw @p num_reads noisy reads from the pool. */
+/**
+ * Draw @p num_reads noisy reads from the pool.
+ *
+ * The reads are a function of the pool, @p num_reads and @p params
+ * alone, down to the order of the draws from the "sequencer" stream
+ * of params.seed: per read, one nextDouble() picks a species by
+ * cumulative mass, then each source base draws insertion checks
+ * (each success draws a base), a deletion check and, for a kept base,
+ * a substitution check (a success draws one of the three other
+ * bases); trailing insertion checks end the read. A zero rate draws
+ * nothing. WetlabGoldenTest pins the result.
+ */
 std::vector<Read> sequencePool(const Pool &pool, size_t num_reads,
                                const SequencerParams &params);
 

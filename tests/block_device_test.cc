@@ -140,6 +140,46 @@ TEST_F(BlockDeviceTest, OverflowChainBeyondInlineSlots)
     EXPECT_GT(device_.costs().roundTrips(), trips_before + 1);
 }
 
+TEST_F(BlockDeviceTest, AssembleRangeFollowsTwoOverflowHops)
+{
+    // 2 inline slots, then 3 records per container: the sixth update
+    // opens a second container, so block 5's chain takes two hops.
+    for (int i = 0; i < 7; ++i) {
+        UpdateOp op;
+        op.insert_pos = 0;
+        op.insert_bytes = {static_cast<uint8_t>('a' + i)};
+        device_.updateBlock(5, op);
+    }
+    const std::optional<Bytes> block = device_.readBlock(5);
+    ASSERT_TRUE(block.has_value());
+    EXPECT_EQ(std::string(block->begin(), block->begin() + 7), "gfedcba");
+    EXPECT_TRUE(std::equal(block->begin() + 7, block->end(),
+                           blockBytes(5).begin()));
+
+    // A range read's own decode holds no container, so assembleRange
+    // fetches each hop with one more round trip.
+    size_t trips_before = device_.costs().roundTrips();
+    std::vector<std::optional<Bytes>> range = device_.readRange(4, 7);
+    EXPECT_EQ(device_.costs().roundTrips(), trips_before + 3);
+    ASSERT_EQ(range.size(), 4u);
+    EXPECT_EQ(range[1], block);
+    for (uint64_t b : {4u, 6u, 7u})
+        EXPECT_TRUE(test::blockMatches(range[b - 4], data_, b));
+
+    // A whole-device read decodes both containers with the blocks, so
+    // the chain resolves from the decoded units alone.
+    trips_before = device_.costs().roundTrips();
+    std::vector<std::optional<Bytes>> all = device_.readAll();
+    EXPECT_EQ(device_.costs().roundTrips(), trips_before + 1);
+    ASSERT_EQ(all.size(), 24u);
+    EXPECT_EQ(all[5], block);
+    for (uint64_t b = 0; b < 24; ++b) {
+        if (b != 5) {
+            EXPECT_TRUE(test::blockMatches(all[b], data_, b));
+        }
+    }
+}
+
 TEST_F(BlockDeviceTest, ReadRange)
 {
     auto contents = device_.readRange(4, 9);

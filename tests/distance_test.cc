@@ -485,10 +485,39 @@ mutate(Rng &rng, const Sequence &seq, size_t edits)
     return Sequence(text);
 }
 
+/**
+ * The next template of a run through a PrimerAligner: the first
+ * 0 to @p max_shared bases of @p prev (the rows the aligner may
+ * reuse), then a near-copy of the rest of the primer and random
+ * bases, sometimes cut short. Lengths change from template to
+ * template, and some templates are shorter than the primer.
+ */
+Sequence
+nextRunTemplate(Rng &rng, const Sequence &primer, const Sequence &prev,
+                size_t max_shared)
+{
+    const size_t shared =
+        std::min(prev.size(),
+                 static_cast<size_t>(rng.nextBelow(max_shared + 1)));
+    Sequence next = prev.substr(0, shared);
+    if (rng.nextBool(0.6)) {
+        next += mutate(rng, primer.substr(std::min(shared, primer.size())),
+                       rng.nextBelow(3));
+    }
+    next += randomSeq(rng, rng.nextBelow(21));
+    if (rng.nextBool(0.2))
+        next = next.substr(0, rng.nextBelow(next.size() + 1));
+    return next.size() > 60 ? next.substr(0, 60) : next;
+}
+
 TEST(WeightedAlignTest, MatchesFullMatrixReference)
 {
     Rng rng = Rng::deriveStream(0xA119, "weighted-align-reference");
+    // Runs of templates through one aligner draw from their own
+    // stream, so the single-call cases stay what they were.
+    Rng run_rng = Rng::deriveStream(0xA119, "weighted-align-runs");
     size_t finite = 0;
+    size_t run_finite = 0;
     for (int c = 0; c < 20000; ++c) {
         const Sequence primer = randomSeq(rng, rng.nextBelow(41));
         Sequence templ;
@@ -528,10 +557,38 @@ TEST(WeightedAlignTest, MatchesFullMatrixReference)
             << "case " << c;
         if (want.cost < kWeightInfinity)
             ++finite;
+
+        // The same primer and parameters against a run of templates
+        // through the aligner the PCR model uses, each template
+        // sharing 0 to m + band + 1 leading bases with the last.
+        PrimerAligner aligner(primer, band, window, three_prime_factor,
+                              gap_factor);
+        Sequence run_templ = templ;
+        for (int step = 0; step < 6; ++step) {
+            if (step > 0) {
+                run_templ = nextRunTemplate(run_rng, primer, run_templ,
+                                            primer.size() + band + 1);
+            }
+            const WeightedAlignment run_got = aligner.align(run_templ);
+            const WeightedAlignment run_want =
+                referenceAlignPrimerWeighted(primer, run_templ, band,
+                                             window, three_prime_factor,
+                                             gap_factor);
+            ASSERT_EQ(run_got.cost, run_want.cost)
+                << "case " << c << " step " << step << " primer "
+                << primer.str() << " template " << run_templ.str()
+                << " band " << band;
+            ASSERT_EQ(run_got.template_consumed,
+                      run_want.template_consumed)
+                << "case " << c << " step " << step;
+            if (step > 0 && run_want.cost < kWeightInfinity)
+                ++run_finite;
+        }
     }
     // Most cases must produce a real alignment, or the comparison
     // says little about the recurrence.
     EXPECT_GT(finite, 10000u);
+    EXPECT_GT(run_finite, 50000u);
 }
 
 } // namespace

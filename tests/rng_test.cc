@@ -109,6 +109,48 @@ TEST(RngTest, BernoulliProbability)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+/** nextDouble()'s value for a draw whose top 53 bits are @p k. */
+double
+unitDouble(uint64_t k)
+{
+    return static_cast<double>(k) * 0x1.0p-53;
+}
+
+TEST(RngTest, BernoulliThresholdIsExact)
+{
+    constexpr uint64_t kTop = uint64_t{1} << 53;  // draws are k < 2^53
+    const double probabilities[] = {
+        1e-300, 0.0007, 0.003, 0.5, 1.0 - 0x1.0p-53, 1.0,
+        12345 * 0x1.0p-53,  // p * 2^53 is the integer 12345
+    };
+    for (double p : probabilities) {
+        SCOPED_TRACE(testing::Message() << "p = " << p);
+        const uint64_t t = Rng::bernoulliThreshold(p);
+        ASSERT_GT(t, 0u);
+        ASSERT_LE(t, kTop);
+        // The boundary draws: k = t - 1 passes, k = t does not.
+        EXPECT_TRUE(unitDouble(t - 1) < p);
+        if (t < kTop) {
+            EXPECT_FALSE(unitDouble(t) < p);
+        }
+        // Draw for draw on one stream, the same outcome.
+        Rng a(101), b(101);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(a.nextBool(p), b.nextBernoulli(t)) << "draw " << i;
+        EXPECT_EQ(a.next(), b.next());
+    }
+    EXPECT_EQ(Rng::bernoulliThreshold(1e-300), 1u);
+    EXPECT_EQ(Rng::bernoulliThreshold(12345 * 0x1.0p-53), 12345u);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.5), kTop / 2);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0 - 0x1.0p-53), kTop - 1);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0), kTop);
+    EXPECT_EQ(Rng::bernoulliThreshold(2.0), kTop);
+    // No draw passes a rate of zero or below, so callers can skip it.
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(-0.5), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(std::nan("")), 0u);
+}
+
 TEST(RngTest, PoissonMean)
 {
     Rng rng(29);
