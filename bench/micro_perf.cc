@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the hot paths of the
  * pipeline: outer-code encode/decode, sparse-index generation and
- * decoding, clustering, trace reconstruction, a PCR cycle, and a
- * device's simulated wetlab half (PCR plus sequencing).
+ * decoding, clustering, trace reconstruction, a PCR cycle, a
+ * device's simulated wetlab half (PCR plus sequencing), and a range
+ * read through a DecodeService end to end.
  */
 
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "dna/distance.h"
 #include "consensus/bma.h"
 #include "core/block_device.h"
+#include "core/decode_service.h"
 #include "corpus/text.h"
 #include "ecc/encoding_unit.h"
 #include "ecc/reed_solomon.h"
@@ -442,6 +444,27 @@ BM_SequencePool(benchmark::State &state)
                             19200);
 }
 BENCHMARK(BM_SequencePool)->Unit(benchmark::kMillisecond);
+
+/** A 16-block range read of the shared device end to end through a
+ *  4-thread DecodeService: PCR, then a fed request whose decode
+ *  filters and clusters each 1,200-read chunk while this thread
+ *  sequences the next, then assembly. Wall time, since the decode
+ *  runs on the service's threads. */
+void
+BM_DeviceReadRangeService(benchmark::State &state)
+{
+    core::BlockDevice &device = sharedDevice();
+    core::DecodeServiceParams params;
+    params.threads = 4;
+    core::DecodeService service(params);
+    uint64_t lo = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(device.readRange(lo, lo + 15, &service));
+        lo = (lo + 16) % device.blockCount();
+    }
+}
+BENCHMARK(BM_DeviceReadRangeService)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 

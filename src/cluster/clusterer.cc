@@ -1,6 +1,7 @@
 #include "cluster/clusterer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/arena.h"
 #include "common/rng.h"
@@ -56,20 +57,22 @@ OnlineClusterer::OnlineClusterer(ClustererParams params)
 }
 
 size_t
-OnlineClusterer::assign(const dna::Sequence &read)
+OnlineClusterer::assign(dna::Sequence read)
 {
     minHashSignatures(read, params_.qgram, salts_.data(),
                       salts_.size(), signature_scratch_.data());
-    return assignWithSignatures(read, signature_scratch_.data());
+    return assignWithSignatures(std::move(read),
+                                signature_scratch_.data());
 }
 
 size_t
-OnlineClusterer::assignWithSignatures(const dna::Sequence &read,
+OnlineClusterer::assignWithSignatures(dna::Sequence &&read,
                                       const uint64_t *signature)
 {
     const size_t bands = salts_.size();
+    // The read's stream index; it joins reads_ after its distance
+    // tests, which compare it only with earlier reads.
     const size_t r = reads_.size();
-    reads_.push_back(read);
 
     // Test up to max_candidates distinct candidates — a cap across
     // all bands, not per band — and join the first within the
@@ -119,6 +122,7 @@ OnlineClusterer::assignWithSignatures(const dna::Sequence &read,
         clusters_.push_back(cluster);
         candidate_stamp_.push_back(0);
     }
+    reads_.push_back(std::move(read));
     clusters_[assigned].members.push_back(r);
     // Index every member's signatures, not only the
     // representative's: a later read whose MinHash differs from
@@ -130,7 +134,7 @@ OnlineClusterer::assignWithSignatures(const dna::Sequence &read,
 }
 
 std::vector<size_t>
-OnlineClusterer::assignBatch(const std::vector<dna::Sequence> &reads,
+OnlineClusterer::assignBatch(std::vector<dna::Sequence> reads,
                              ThreadPool *pool)
 {
     const size_t bands = salts_.size();
@@ -153,7 +157,7 @@ OnlineClusterer::assignBatch(const std::vector<dna::Sequence> &reads,
         // .data() arithmetic, not operator[]: with zero bands the
         // offset stays 0 and the pointer is never dereferenced.
         assigned[r] = assignWithSignatures(
-            reads[r], signatures.data() + r * bands);
+            std::move(reads[r]), signatures.data() + r * bands);
     }
     return assigned;
 }

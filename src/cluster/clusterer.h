@@ -78,10 +78,10 @@ struct ClustererParams
  * calls, the final cluster state is identical to clustering the
  * concatenated sequence in one shot.
  *
- * The clusterer owns a copy of every read it has seen (the distance
- * tests against cluster representatives, and the consensus
- * stage downstream, need the bases again later), so callers may hand
- * in transient chunks.
+ * The clusterer owns every read it has seen (the distance tests
+ * against cluster representatives, and the consensus stage
+ * downstream, need the bases again later). Reads are taken by value
+ * and moved in, so a caller that hands over its chunk pays no copy.
  */
 class OnlineClusterer
 {
@@ -93,7 +93,7 @@ class OnlineClusterer
      * cluster it joined (possibly a fresh one). The read's stream
      * index is readCount() before the call.
      */
-    size_t assign(const dna::Sequence &read);
+    size_t assign(dna::Sequence read);
 
     /**
      * Assign a chunk in order; out[i] is the cluster index read i of
@@ -102,9 +102,8 @@ class OnlineClusterer
      * sequential in chunk order, so the result is byte-identical for
      * any thread count — and identical to assign() read by read.
      */
-    std::vector<size_t> assignBatch(
-        const std::vector<dna::Sequence> &reads,
-        ThreadPool *pool = nullptr);
+    std::vector<size_t> assignBatch(std::vector<dna::Sequence> reads,
+                                    ThreadPool *pool = nullptr);
 
     /** Reads streamed in so far, in arrival order. */
     const std::vector<dna::Sequence> &reads() const { return reads_; }
@@ -122,8 +121,9 @@ class OnlineClusterer
     std::vector<Cluster> sortedClusters() const;
 
   private:
-    /** Assign with this read's precomputed band signatures. */
-    size_t assignWithSignatures(const dna::Sequence &read,
+    /** Assign with this read's precomputed band signatures; the read
+     *  moves into reads_ after its distance tests. */
+    size_t assignWithSignatures(dna::Sequence &&read,
                                 const uint64_t *signature);
 
     /** One signature band's bucket: the clusters indexed under one

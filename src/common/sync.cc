@@ -15,6 +15,8 @@ rankName(Rank rank)
         return "ServiceState";
       case Rank::kStreamState:
         return "StreamState";
+      case Rank::kReadFeed:
+        return "ReadFeed";
       case Rank::kPoolJobs:
         return "PoolJobs";
       case Rank::kTraceCollector:

@@ -121,6 +121,11 @@ enum class Rank : int
      *  shared between caller threads and the dispatcher. */
     kStreamState = 300,
 
+    /** core::ReadFeed::mutex_ — a fed request's pending read chunks,
+     *  shared by the client that sequences them and the dispatcher
+     *  that decodes them. Wraps no other acquisition. */
+    kReadFeed = 250,
+
     /** ThreadPool::mutex_ — published fork-join jobs and stop flag.
      *  Near the bottom: pool internals may be reached from inside any
      *  higher layer's critical section, never the other way round. */

@@ -1,6 +1,8 @@
 #include "core/block_device.h"
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <utility>
 
 #include "common/rng.h"
@@ -137,45 +139,84 @@ BlockDevice::updateCount(uint64_t block) const
     return it == update_counts_.end() ? 0 : it->second;
 }
 
-std::vector<sim::Read>
-BlockDevice::roundTrip(const std::vector<sim::PcrPrimer> &primers,
-                       size_t reads)
+BlockDevice::Amplified
+BlockDevice::amplify(const std::vector<sim::PcrPrimer> &primers,
+                     const sim::PcrParams &pcr, size_t reads)
+{
+    Amplified amplified;
+    amplified.product = sim::runPcr(pool_, primers,
+                                    partition_.reversePrimer(), pcr,
+                                    nullptr, &reverse_sites_);
+    amplified.sequencer = params_.sequencer;
+    amplified.sequencer.seed =
+        Rng::deriveSeed(params_.sequencer.seed, costs_.readsSequenced());
+    amplified.reads = reads;
+    costs_.recordSequencing(reads);
+    costs_.recordRoundTrip();
+    return amplified;
+}
+
+BlockDevice::Amplified
+BlockDevice::amplifyTargeted(std::vector<sim::PcrPrimer> primers,
+                             size_t reads)
 {
     fatalIf(pool_.speciesCount() == 0, "device has no data");
     sim::PcrParams pcr = params_.pcr;
     pcr.cycles = params_.block_access_cycles;
     pcr.stringency = sim::touchdownSchedule(
         params_.touchdown_cycles, params_.block_access_cycles);
-
-    std::vector<sim::PcrPrimer> all = primers;
     if (params_.leftover_primer_concentration > 0.0) {
-        all.push_back(
+        primers.push_back(
             sim::PcrPrimer{partition_.forwardPrimer(),
                            params_.leftover_primer_concentration});
     }
-    sim::Pool product = sim::runPcr(pool_, all, partition_.reversePrimer(),
-                                    pcr, nullptr, &reverse_sites_);
-
-    sim::SequencerParams sequencer = params_.sequencer;
-    sequencer.seed =
-        Rng::deriveSeed(params_.sequencer.seed, costs_.readsSequenced());
-    costs_.recordSequencing(reads);
-    costs_.recordRoundTrip();
-    return sim::sequencePool(product, reads, sequencer);
+    return amplify(primers, pcr, reads);
 }
 
-std::map<uint64_t, BlockVersions>
-BlockDevice::decodeReads(std::vector<sim::Read> reads,
-                         DecodeStats *stats, DecodeService *service,
-                         TenantId tenant,
-                         const telemetry::TraceContext &trace)
+BlockDevice::Amplified
+BlockDevice::amplifyRange(uint64_t lo, uint64_t hi)
 {
-    if (!service)
-        return decoder_.decodeAll(reads, stats, ThreadPool::shared(),
-                                  trace);
-    DecodeOutcome outcome =
-        service->submit(decoder_, std::move(reads), tenant, trace)
-            .get();
+    fatalIf(lo > hi || hi >= data_blocks_, "invalid block range");
+    std::vector<dna::Sequence> primer_seqs =
+        partition_.rangePrimers(lo, hi);
+    std::vector<sim::PcrPrimer> primers;
+    primers.reserve(primer_seqs.size());
+    double share = 1.0 / static_cast<double>(primer_seqs.size());
+    for (dna::Sequence &seq : primer_seqs)
+        primers.push_back(sim::PcrPrimer{std::move(seq), share});
+
+    size_t budget = static_cast<size_t>(
+        params_.coverage *
+        static_cast<double>((hi - lo + 1) * params_.config.rs_n) * 4.0);
+    return amplifyTargeted(std::move(primers), budget);
+}
+
+BlockDevice::Amplified
+BlockDevice::amplifyAll()
+{
+    fatalIf(data_blocks_ == 0, "device has no data");
+    size_t budget = static_cast<size_t>(
+        params_.coverage * static_cast<double>(pool_.speciesCount()));
+    sim::PcrParams pcr = params_.pcr;
+    pcr.cycles = 15;  // plain amplification, no touchdown
+    return amplify({sim::PcrPrimer{partition_.forwardPrimer(), 1.0}},
+                   pcr, budget);
+}
+
+std::vector<sim::Read>
+BlockDevice::roundTrip(const std::vector<sim::PcrPrimer> &primers,
+                       size_t reads)
+{
+    return amplifyTargeted(primers, reads).sequence();
+}
+
+namespace {
+
+/** A routed decode's units and stats; throws the typed error of a
+ *  request the service shed. */
+std::map<uint64_t, BlockVersions>
+routedUnits(DecodeOutcome outcome, DecodeStats *stats)
+{
     if (outcome.status == DecodeStatus::Throttled)
         throw ThrottledError("BlockDevice read shed by the tenant's "
                              "token bucket");
@@ -185,6 +226,61 @@ BlockDevice::decodeReads(std::vector<sim::Read> reads,
     if (stats)
         *stats = outcome.stats;
     return std::move(outcome.units);
+}
+
+} // namespace
+
+std::map<uint64_t, BlockVersions>
+BlockDevice::decodeReads(std::vector<sim::Read> reads,
+                         DecodeStats *stats, DecodeService *service,
+                         TenantId tenant,
+                         const telemetry::TraceContext &trace)
+{
+    if (!service)
+        return decoder_.decodeAll(std::move(reads), stats,
+                                  ThreadPool::shared(), trace);
+    return routedUnits(
+        service->submit(decoder_, std::move(reads), tenant, trace).get(),
+        stats);
+}
+
+std::map<uint64_t, BlockVersions>
+BlockDevice::decodeAmplified(Amplified amplified, DecodeService *service,
+                             TenantId tenant,
+                             const telemetry::TraceContext &trace)
+{
+    last_stats_ = DecodeStats();
+    if (!service) {
+        std::vector<sim::Read> reads = amplified.sequence();
+        // The product's teardown precedes the decode, not follows it.
+        amplified.product = sim::Pool();
+        return decoder_.decodeAll(std::move(reads), &last_stats_,
+                                  ThreadPool::shared(), trace);
+    }
+    ReadFeedWriter writer;
+    std::future<DecodeOutcome> outcome =
+        service->submit(decoder_, writer, tenant, trace);
+    // A shed request's future is ready at submit: sequence nothing.
+    // Otherwise the decode filters and clusters chunk k on the
+    // dispatcher while this thread sequences chunk k + 1.
+    if (outcome.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+        telemetry::SpanHandle span = trace.span("sim.sequence");
+        span.attrU64("reads", amplified.reads);
+        sim::Sequencer sequencer(amplified.product, amplified.sequencer);
+        for (size_t done = 0; done < amplified.reads;) {
+            const size_t n =
+                std::min(amplified.reads - done, kFeedChunkReads);
+            writer.push(sequencer.next(n));
+            done += n;
+        }
+        writer.close();
+        span.end();
+    }
+    // Tear the product down while the decode finishes its last chunk,
+    // not after the decode.
+    amplified.product = sim::Pool();
+    return routedUnits(outcome.get(), &last_stats_);
 }
 
 std::optional<Bytes>
@@ -265,39 +361,13 @@ BlockDevice::readBlock(uint64_t block, DecodeService *service,
 std::vector<sim::Read>
 BlockDevice::sequenceRange(uint64_t lo, uint64_t hi)
 {
-    fatalIf(lo > hi || hi >= data_blocks_, "invalid block range");
-    std::vector<dna::Sequence> primer_seqs =
-        partition_.rangePrimers(lo, hi);
-    std::vector<sim::PcrPrimer> primers;
-    primers.reserve(primer_seqs.size());
-    double share = 1.0 / static_cast<double>(primer_seqs.size());
-    for (dna::Sequence &seq : primer_seqs)
-        primers.push_back(sim::PcrPrimer{std::move(seq), share});
-
-    size_t budget = static_cast<size_t>(
-        params_.coverage *
-        static_cast<double>((hi - lo + 1) * params_.config.rs_n) * 4.0);
-    return roundTrip(primers, budget);
+    return amplifyRange(lo, hi).sequence();
 }
 
 std::vector<sim::Read>
 BlockDevice::sequenceAll()
 {
-    fatalIf(data_blocks_ == 0, "device has no data");
-    size_t budget = static_cast<size_t>(
-        params_.coverage * static_cast<double>(pool_.speciesCount()));
-    sim::PcrParams pcr = params_.pcr;
-    pcr.cycles = 15;  // plain amplification, no touchdown
-
-    sim::Pool product = sim::runPcr(
-        pool_, {sim::PcrPrimer{partition_.forwardPrimer(), 1.0}},
-        partition_.reversePrimer(), pcr, nullptr, &reverse_sites_);
-    sim::SequencerParams sequencer = params_.sequencer;
-    sequencer.seed =
-        Rng::deriveSeed(params_.sequencer.seed, costs_.readsSequenced());
-    costs_.recordSequencing(budget);
-    costs_.recordRoundTrip();
-    return sim::sequencePool(product, budget, sequencer);
+    return amplifyAll().sequence();
 }
 
 std::vector<std::optional<Bytes>>
@@ -321,10 +391,8 @@ BlockDevice::readRange(uint64_t lo, uint64_t hi,
                        DecodeService *service, TenantId tenant,
                        const telemetry::TraceContext &trace)
 {
-    std::vector<sim::Read> reads = sequenceRange(lo, hi);
-    last_stats_ = DecodeStats();
-    auto units = decodeReads(std::move(reads), &last_stats_, service,
-                             tenant, trace);
+    auto units =
+        decodeAmplified(amplifyRange(lo, hi), service, tenant, trace);
     return assembleRange(lo, hi, units, service, tenant, trace);
 }
 
@@ -332,10 +400,7 @@ std::vector<std::optional<Bytes>>
 BlockDevice::readAll(DecodeService *service, TenantId tenant,
                      const telemetry::TraceContext &trace)
 {
-    std::vector<sim::Read> reads = sequenceAll();
-    last_stats_ = DecodeStats();
-    auto units = decodeReads(std::move(reads), &last_stats_, service,
-                             tenant, trace);
+    auto units = decodeAmplified(amplifyAll(), service, tenant, trace);
     return assembleRange(0, data_blocks_ - 1, units, service, tenant,
                          trace);
 }

@@ -117,13 +117,20 @@ class BlockDevice
         TenantId tenant = kDefaultTenant,
         const telemetry::TraceContext &trace = {});
 
-    /** Retrieve blocks [lo, hi] via one multiplex PCR. */
+    /**
+     * Retrieve blocks [lo, hi] via one multiplex PCR. Through a
+     * service the decode consumes the reads while they are sequenced:
+     * the request is submitted right after PCR, and the reads follow
+     * through a ReadFeed in chunks of kFeedChunkReads. Bytes and
+     * lastStats() are the synchronous path's.
+     */
     std::vector<std::optional<Bytes>> readRange(
         uint64_t lo, uint64_t hi, DecodeService *service = nullptr,
         TenantId tenant = kDefaultTenant,
         const telemetry::TraceContext &trace = {});
 
-    /** Retrieve the whole partition (baseline random access). */
+    /** Retrieve the whole partition (baseline random access); fed
+     *  through a service as readRange() is. */
     std::vector<std::optional<Bytes>> readAll(
         DecodeService *service = nullptr,
         TenantId tenant = kDefaultTenant,
@@ -164,7 +171,29 @@ class BlockDevice
     /** Number of updates logged against a block. */
     unsigned updateCount(uint64_t block) const;
 
+    /** Reads per chunk a service-routed readRange()/readAll() pushes
+     *  into its decode. Byte-neutral: the decode's result does not
+     *  depend on the chunking. */
+    static constexpr size_t kFeedChunkReads = 1200;
+
   private:
+    /** A PCR product ready to sequence, with its reads already
+     *  billed. */
+    struct Amplified
+    {
+        sim::Pool product;
+        /** Seeded from the costs before this round trip. */
+        sim::SequencerParams sequencer;
+        size_t reads = 0;
+
+        /** All the billed reads at once. */
+        std::vector<sim::Read>
+        sequence() const
+        {
+            return sim::sequencePool(product, reads, sequencer);
+        }
+    };
+
     BlockDeviceParams params_;
     Partition partition_;
     Decoder decoder_;
@@ -198,6 +227,21 @@ class BlockDevice
     /** Log an arbitrary record as the next update of @p block. */
     void appendUpdate(uint64_t block, UpdateRecord record);
 
+    /** The PCR half of every round trip: run @p pcr over
+     *  @p primers, seed the sequencer from the costs so far, and bill
+     *  @p reads and one round trip. */
+    Amplified amplify(const std::vector<sim::PcrPrimer> &primers,
+                      const sim::PcrParams &pcr, size_t reads);
+
+    /** A targeted (touchdown) reaction over @p primers, plus any
+     *  leftover main primers. */
+    Amplified amplifyTargeted(std::vector<sim::PcrPrimer> primers,
+                              size_t reads);
+
+    /** The PCR halves of sequenceRange() and sequenceAll(). */
+    Amplified amplifyRange(uint64_t lo, uint64_t hi);
+    Amplified amplifyAll();
+
     /** One PCR + sequencing round trip scoped to @p primers. */
     std::vector<sim::Read> roundTrip(
         const std::vector<sim::PcrPrimer> &primers, size_t reads);
@@ -208,6 +252,19 @@ class BlockDevice
     std::map<uint64_t, BlockVersions> decodeReads(
         std::vector<sim::Read> reads, DecodeStats *stats,
         DecodeService *service, TenantId tenant,
+        const telemetry::TraceContext &trace);
+
+    /**
+     * The decode half of readRange()/readAll(), into last_stats_.
+     * Without @p service: sequence the product whole and decodeAll
+     * it (sequenceRange()/sequenceAll() + decodeAll). With one: a fed
+     * request, submitted before the first read is sequenced, that
+     * this thread then feeds chunk by chunk under a sim.sequence span
+     * of @p trace. A shed request throws as decodeReads does, and no
+     * read is sequenced for it.
+     */
+    std::map<uint64_t, BlockVersions> decodeAmplified(
+        Amplified amplified, DecodeService *service, TenantId tenant,
         const telemetry::TraceContext &trace);
 
     /** Apply a block's updates, following overflow hops. */

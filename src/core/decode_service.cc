@@ -383,6 +383,49 @@ DecodeService::submit(const Decoder &decoder,
     return std::move(submitBatch(std::move(batch))[0]);
 }
 
+std::future<DecodeOutcome>
+DecodeService::submit(const Decoder &decoder, ReadFeedWriter &writer,
+                      TenantId tenant,
+                      const telemetry::TraceContext &trace)
+{
+    DecodeRequest request;
+    request.decoder = &decoder;
+    request.tenant = tenant;
+    request.trace = trace;
+    Batch pending;
+    pending.tenant = tenant;
+    Item &item = pending.items.emplace_back();
+    initRequestItem(item, std::move(request), nowUs());
+    item.feed = writer.feed();
+    std::future<DecodeOutcome> future = item.promise.get_future();
+    if (admitOrShed(pending) && batches_submitted_)
+        batches_submitted_->increment();
+    return future;
+}
+
+void
+DecodeService::initRequestItem(Item &item, DecodeRequest request,
+                               uint64_t now_us) const
+{
+    if (request.decoder)
+        item.liveness = request.decoder->livenessToken();
+    item.request = std::move(request);
+    item.enqueued_us = now_us;
+
+    // Root the request's trace: join the caller's context when it has
+    // one (e.g. a StorageFrontend root span), otherwise start a fresh
+    // head-sampled trace. Both inactive => one branch.
+    const TenantId tenant = item.request.tenant;
+    if (item.request.trace.active())
+        item.root = item.request.trace.spanAt("request", now_us);
+    else if (params_.tracer)
+        item.root = params_.tracer->startTrace("request", tenant);
+    if (item.root.active()) {
+        item.root.attrU64("tenant", tenant);
+        item.ctx = item.root.context();
+    }
+}
+
 bool
 DecodeService::fitsLocked(const TenantState &state, size_t n) const
 {
@@ -570,24 +613,8 @@ DecodeService::submitBatch(std::vector<DecodeRequest> batch)
                 "DecodeService: batch mixes tenants ", tenant, " and ",
                 batch[i].tenant,
                 "; one submitBatch is one tenant's work");
-        if (batch[i].decoder)
-            pending.items[i].liveness = batch[i].decoder->livenessToken();
-        pending.items[i].request = std::move(batch[i]);
-        pending.items[i].enqueued_us = now_us;
+        initRequestItem(pending.items[i], std::move(batch[i]), now_us);
         futures.push_back(pending.items[i].promise.get_future());
-
-        // Root the request's trace: join the caller's context when it
-        // has one (e.g. a StorageFrontend root span), otherwise start
-        // a fresh head-sampled trace. Both inactive => one branch.
-        Item &item = pending.items[i];
-        if (item.request.trace.active())
-            item.root = item.request.trace.spanAt("request", now_us);
-        else if (params_.tracer)
-            item.root = params_.tracer->startTrace("request", tenant);
-        if (item.root.active()) {
-            item.root.attrU64("tenant", tenant);
-            item.ctx = item.root.context();
-        }
     }
     if (n == 0) {
         sync::MutexLock lock(mutex_);
@@ -811,11 +838,11 @@ DecodeService::runStreamItem(Item &item, DecodeOutcome &outcome)
                              ? DecodeStatus::Ok
                              : DecodeStatus::Partial;
     } else {
-        const std::vector<sim::Read> &reads = item.request.reads;
-        const size_t consumed =
-            stream.session->feed(reads, pool_, item.ctx);
+        const bool empty = item.request.reads.empty();
+        const size_t consumed = stream.session->feed(
+            std::move(item.request.reads), pool_, item.ctx);
         outcome.stats = stream.session->stats();
-        outcome.status = (consumed == 0 && !reads.empty())
+        outcome.status = (consumed == 0 && !empty)
                              ? DecodeStatus::Skipped
                              : DecodeStatus::Ok;
     }
@@ -842,6 +869,28 @@ DecodeService::runStreamItem(Item &item, DecodeOutcome &outcome)
         if (stream_reads_at_completion_)
             stream_reads_at_completion_->observe(after.reads_consumed);
     }
+}
+
+// A fed request is a one-item batch, so like a stream chunk it runs
+// inline on the dispatcher thread: only the dispatcher ever waits on a
+// feed, never a pool worker.
+void
+DecodeService::runFedItem(Item &item, DecodeOutcome &outcome,
+                          telemetry::SpanHandle &decode_span)
+{
+    const telemetry::TraceContext ctx = decode_span.context();
+    outcome.units = item.request.decoder->decodeChunks(
+        [&] {
+            // Waiting for the producer is not decode work: it gets a
+            // span of its own, so decode's self time stays the work.
+            telemetry::SpanHandle wait = ctx.span("decode.feed_wait");
+            std::optional<std::vector<sim::Read>> chunk =
+                item.feed->pull();
+            wait.end();
+            return chunk;
+        },
+        &outcome.stats, pool_, ctx);
+    decode_span.attrU64("reads", outcome.stats.reads_in);
 }
 
 void
@@ -879,8 +928,9 @@ DecodeService::runBatch(Batch &batch)
             // A chunk's stage spans hang directly off its chunk span.
             if (!item.stream) {
                 decode_span = item.ctx.span("decode");
-                decode_span.attrU64("reads",
-                                    item.request.reads.size());
+                if (!item.feed)
+                    decode_span.attrU64("reads",
+                                        item.request.reads.size());
             }
         }
         try {
@@ -891,10 +941,12 @@ DecodeService::runBatch(Batch &batch)
                     item.stream ? "stream chunk" : "request", " ran");
             if (item.stream) {
                 runStreamItem(item, outcomes[i]);
+            } else if (item.feed) {
+                runFedItem(item, outcomes[i], decode_span);
             } else {
                 outcomes[i].units = item.request.decoder->decodeAll(
-                    item.request.reads, &outcomes[i].stats, pool_,
-                    decode_span.context());
+                    std::move(item.request.reads), &outcomes[i].stats,
+                    pool_, decode_span.context());
             }
             if (decode_latency_us_)
                 decode_latency_us_->observe(

@@ -70,12 +70,26 @@
  * entire contended backlog before a single batch runs. Under an
  * injected clock the latency histograms are byte-reproducible.
  *
+ * Fed requests: submit() also takes a ReadFeedWriter in place of a
+ * complete read set, so a client can submit right after PCR and push
+ * its reads in chunks while it sequences them (BlockDevice::readRange
+ * and readAll do). A fed request is billed exactly like a complete one:
+ * one admission (token, queue slot, ticket line), one WDRR dispatch,
+ * one request/admission/queue/decode span each and one outcome. It is
+ * always a one-item batch and runs inline on the dispatcher, which
+ * pulls its chunks into one deferred decode session (per chunk a
+ * decode.primer_filter and decode.cluster span, plus a
+ * decode.feed_wait span for the time spent waiting for it) and so
+ * may wait for the producer between chunks; no pool worker ever
+ * waits on a feed.
+ *
  * Shutdown drains: pending batches are decoded, not dropped, before
  * the dispatcher exits (dispatch resumes if paused), so destroying
  * the service never leaves a broken promise. Submissions after
  * shutdown are rejected with FatalError; a submitter blocked on a
  * full queue when shutdown() lands is woken and also fails with
- * FatalError.
+ * FatalError. Draining a fed request waits for its producer to close
+ * (or drop) its ReadFeedWriter, so close it before shutting down.
  */
 
 #ifndef DNASTORE_CORE_DECODE_SERVICE_H
@@ -96,6 +110,7 @@
 #include "common/sync.h"
 #include "common/thread_pool.h"
 #include "core/decoder.h"
+#include "core/read_feed.h"
 #include "core/tenant.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -396,6 +411,21 @@ class DecodeService
         const telemetry::TraceContext &trace = {});
 
     /**
+     * Enqueue one request whose reads @p writer will push (see "Fed
+     * requests" above). Admission and its outcome are submit()'s: a
+     * shed request's future is ready when this returns, before any
+     * read need be produced. Otherwise the decode pulls chunks until
+     * the writer closes; units and stats equal decodeAll's over the
+     * concatenated chunks. A writer dropped open resolves the future
+     * with its error and frees the request's queue slot. Throws
+     * FatalError after shutdown().
+     */
+    std::future<DecodeOutcome> submit(
+        const Decoder &decoder, ReadFeedWriter &writer,
+        TenantId tenant = kDefaultTenant,
+        const telemetry::TraceContext &trace = {});
+
+    /**
      * Enqueue a batch (typically one request per partition of a
      * device). The batch's jobs run concurrently; futures are
      * returned — and later fulfilled — in submission order. Throws
@@ -448,7 +478,8 @@ class DecodeService
 
     /** One request, or one chunk of a stream session: a chunk is a
      *  one-item batch whose reads sit in request.reads (the decoder
-     *  stays null; the session carries its own). */
+     *  stays null; the session carries its own). A fed request is a
+     *  one-item batch too. */
     struct Item
     {
         DecodeRequest request;
@@ -460,6 +491,9 @@ class DecodeService
 
         /** The session a chunk feeds; null for a request. */
         std::shared_ptr<DecodeStream::State> stream;
+        /** A fed request's reads (request.reads stays empty); null
+         *  otherwise. */
+        std::shared_ptr<ReadFeed> feed;
         /** The chunk is the finish marker DecodeStream::finish()
          *  enqueues. */
         bool stream_finish = false;
@@ -474,7 +508,7 @@ class DecodeService
     };
 
     /** One admission and one dispatch: a submitBatch's requests, or
-     *  a single stream chunk as a one-item batch. */
+     *  a single stream chunk or fed request as a one-item batch. */
     struct Batch
     {
         std::vector<Item> items;
@@ -522,6 +556,16 @@ class DecodeService
      *  counters (see the definition for the threading invariant). */
     void runStreamItem(Item &item, DecodeOutcome &outcome)
         DNASTORE_EXCLUDES(mutex_);
+
+    /** Decode a fed request, pulling its chunks as they arrive. */
+    void runFedItem(Item &item, DecodeOutcome &outcome,
+                    telemetry::SpanHandle &decode_span)
+        DNASTORE_EXCLUDES(mutex_);
+
+    /** Fill a request's item: decoder liveness, enqueue stamp, and the
+     *  root of its trace. */
+    void initRequestItem(Item &item, DecodeRequest request,
+                         uint64_t now_us) const;
 
     /** Admission path shared by submitBatch and stream chunks: bill
      *  the token bucket, wait in the ticket line (Block policy) or

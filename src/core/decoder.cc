@@ -1,6 +1,7 @@
 #include "core/decoder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "codec/base_codec.h"
 #include "common/arena.h"
@@ -177,12 +178,24 @@ Decoder::Decoder(const Partition &partition, DecoderParams params)
 {}
 
 std::map<uint64_t, BlockVersions>
-Decoder::decodeAll(const std::vector<sim::Read> &reads,
-                   DecodeStats *stats, ThreadPool &pool,
+Decoder::decodeAll(std::vector<sim::Read> reads, DecodeStats *stats,
+                   ThreadPool &pool,
                    const telemetry::TraceContext &trace) const
 {
+    std::optional<std::vector<sim::Read>> whole(std::move(reads));
+    return decodeChunks(
+        [&whole] { return std::exchange(whole, std::nullopt); }, stats,
+        pool, trace);
+}
+
+std::map<uint64_t, BlockVersions>
+Decoder::decodeChunks(const ReadChunks &next, DecodeStats *stats,
+                      ThreadPool &pool,
+                      const telemetry::TraceContext &trace) const
+{
     StreamingDecoder session(partition_, params_);
-    session.feed(reads, pool, trace);
+    while (std::optional<std::vector<sim::Read>> chunk = next())
+        session.feed(std::move(*chunk), pool, trace);
     return session.finish(stats, pool, trace);
 }
 
@@ -259,8 +272,7 @@ StreamingDecoder::StreamingDecoder(const Partition &partition,
 }
 
 size_t
-StreamingDecoder::feed(const std::vector<sim::Read> &reads,
-                       ThreadPool &pool,
+StreamingDecoder::feed(std::vector<sim::Read> reads, ThreadPool &pool,
                        const telemetry::TraceContext &trace)
 {
     fatalIf(finished_, "StreamingDecoder::feed after finish()");
@@ -296,7 +308,7 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
     filtered.reserve(reads.size());
     for (size_t i = 0; i < reads.size(); ++i) {
         if (keep[i])
-            filtered.push_back(reads[i].seq);
+            filtered.push_back(std::move(reads[i].seq));
     }
     filter_span.attrU64("reads_in", reads.size());
     filter_span.attrU64("matched", filtered.size());
@@ -307,7 +319,8 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
 
     // Step 2: online clustering — the chunk joins the running index.
     telemetry::SpanHandle cluster_span = trace.span("decode.cluster");
-    std::vector<size_t> joined = clusterer_.assignBatch(filtered, &pool);
+    std::vector<size_t> joined =
+        clusterer_.assignBatch(std::move(filtered), &pool);
     views_.resize(clusterer_.clusters().size());
     cluster_span.attrU64("clusters", clusterer_.clusters().size());
     cluster_span.end();

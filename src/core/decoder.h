@@ -27,9 +27,9 @@
  * decode latency proportional to when the file *became* recoverable
  * instead of to the worst-case read budget.
  *
- * Decoder::decodeAll is that pipeline run as a one-chunk deferred
- * session: the whole read set in through one feed(), every decodable
- * unit out of finish().
+ * Decoder::decodeChunks is that pipeline run as a deferred session:
+ * reads in through one feed() per chunk, every decodable unit out of
+ * finish(). Decoder::decodeAll is its one-chunk case.
  */
 
 #ifndef DNASTORE_CORE_DECODER_H
@@ -112,6 +112,10 @@ struct DecodeStats
     bool operator==(const DecodeStats &) const = default;
 };
 
+/** Hands a decode its reads one chunk at a time: the next chunk, or
+ *  nullopt once there are no more. */
+using ReadChunks = std::function<std::optional<std::vector<sim::Read>>()>;
+
 /** All decoded versions of one block. */
 struct BlockVersions
 {
@@ -136,15 +140,28 @@ class Decoder
      * ThreadPool::shared() by default, DecodeService's own pool on
      * the service path. Output is byte-identical for any pool size.
      *
-     * Runs a deferred StreamingDecoder over the whole read set as one
-     * chunk. @p trace parents per-stage spans (decode.primer_filter,
-     * decode.cluster, decode.consensus, one decode.rs_unit per RS
-     * attempt); the default inactive context records nothing and
-     * costs one branch per stage.
+     * decodeChunks with the whole read set as one chunk. @p trace
+     * parents per-stage spans (decode.primer_filter, decode.cluster,
+     * decode.consensus, one decode.rs_unit per RS attempt); the
+     * default inactive context records nothing and costs one branch
+     * per stage.
      */
     std::map<uint64_t, BlockVersions> decodeAll(
-        const std::vector<sim::Read> &reads,
-        DecodeStats *stats = nullptr,
+        std::vector<sim::Read> reads, DecodeStats *stats = nullptr,
+        ThreadPool &pool = ThreadPool::shared(),
+        const telemetry::TraceContext &trace = {}) const;
+
+    /**
+     * Decode reads that arrive in chunks: one deferred
+     * StreamingDecoder session, fed once per chunk @p next returns
+     * and finished when it returns nullopt. Units and @p stats are
+     * decodeAll's for the concatenated reads, whatever the chunking;
+     * each chunk records its own decode.primer_filter and
+     * decode.cluster spans, and finish() records decode.consensus
+     * and the decode.rs_unit spans once.
+     */
+    std::map<uint64_t, BlockVersions> decodeChunks(
+        const ReadChunks &next, DecodeStats *stats = nullptr,
         ThreadPool &pool = ThreadPool::shared(),
         const telemetry::TraceContext &trace = {}) const;
 
@@ -283,14 +300,16 @@ class StreamingDecoder
      * whole chunk, or 0 when the session already completed (the
      * chunk is counted as skipped). Newly decodable units are
      * emitted through StreamingParams::on_unit before feed returns.
-     * Throws FatalError after finish().
+     * Throws FatalError after finish(). The session keeps the kept
+     * reads' sequences by moving them out of @p reads, so a caller
+     * that hands its chunk over pays no copy.
      *
      * @p pool serves the chunk's internal parallel stages.
      * @p trace parents the chunk's stage spans (same taxonomy as
      * Decoder::decodeAll, plus a decode.early_termination event the
      * moment the last expected unit decodes).
      */
-    size_t feed(const std::vector<sim::Read> &reads,
+    size_t feed(std::vector<sim::Read> reads,
                 ThreadPool &pool = ThreadPool::shared(),
                 const telemetry::TraceContext &trace = {});
 

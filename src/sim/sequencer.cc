@@ -148,31 +148,63 @@ class SpeciesPicker
 
 } // namespace
 
-std::vector<Read>
-sequencePool(const Pool &pool, size_t num_reads,
-             const SequencerParams &params)
+struct Sequencer::State
+{
+    State(const Pool &pool, const SequencerParams &params)
+        : pool(pool), picker(pool),
+          channel{Rng::bernoulliThreshold(params.sub_rate),
+                  Rng::bernoulliThreshold(params.ins_rate),
+                  Rng::bernoulliThreshold(params.del_rate)},
+          rng(Rng::deriveStream(params.seed, "sequencer"))
+    {}
+
+    const Pool &pool;
+    const SpeciesPicker picker;
+    const Channel channel;
+    Rng rng;
+    std::string buf;
+};
+
+Sequencer::Sequencer(const Pool &pool, const SequencerParams &params)
 {
     fatalIf(pool.speciesCount() == 0, "sequencePool: empty pool");
-    const SpeciesPicker picker(pool);
-    const Channel channel{Rng::bernoulliThreshold(params.sub_rate),
-                          Rng::bernoulliThreshold(params.ins_rate),
-                          Rng::bernoulliThreshold(params.del_rate)};
+    state_ = std::make_unique<State>(pool, params);
+}
+
+Sequencer::~Sequencer() = default;
+
+std::vector<Read>
+Sequencer::next(size_t n)
+{
+    const std::vector<Species> &species = state_->pool.species();
+    const SpeciesPicker &picker = state_->picker;
+    const Channel channel = state_->channel;
     const double total = picker.total();
-    Rng rng = Rng::deriveStream(params.seed, "sequencer");
+    std::string &buf = state_->buf;
+    // A local copy, so the stream stays in registers (see
+    // applyIdsNoise); it goes back into the state when the call ends.
+    Rng rng = state_->rng;
 
     std::vector<Read> reads;
-    reads.reserve(num_reads);
-    std::string buf;
-    for (size_t r = 0; r < num_reads; ++r) {
+    reads.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
         const size_t idx = picker.pick(rng.nextDouble() * total);
-        const std::string &src = pool.species()[idx].seq.str();
+        const std::string &src = species[idx].seq.str();
         if (buf.size() < src.size())
             buf.resize(src.size());
         const size_t len = applyIdsNoise(src, channel, rng, buf);
         reads.push_back(
             Read{dna::Sequence(std::string(buf.data(), len)), idx});
     }
+    state_->rng = rng;
     return reads;
+}
+
+std::vector<Read>
+sequencePool(const Pool &pool, size_t num_reads,
+             const SequencerParams &params)
+{
+    return Sequencer(pool, params).next(num_reads);
 }
 
 } // namespace dnastore::sim

@@ -15,6 +15,7 @@
 #define DNASTORE_SIM_SEQUENCER_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dna/sequence.h"
@@ -42,17 +43,39 @@ struct SequencerParams
 };
 
 /**
- * Draw @p num_reads noisy reads from the pool.
+ * A resumable sequencing run over one pool: next(n) returns the run's
+ * next @p n reads.
  *
- * The reads are a function of the pool, @p num_reads and @p params
- * alone, down to the order of the draws from the "sequencer" stream
- * of params.seed: per read, one nextDouble() picks a species by
- * cumulative mass, then each source base draws insertion checks
- * (each success draws a base), a deletion check and, for a kept base,
- * a substitution check (a success draws one of the three other
- * bases); trailing insertion checks end the read. A zero rate draws
- * nothing. WetlabGoldenTest pins the result.
+ * The reads are a function of the pool, @p params and the number of
+ * reads drawn before, down to the order of the draws from the
+ * "sequencer" stream of params.seed: per read, one nextDouble() picks
+ * a species by cumulative mass, then each source base draws insertion
+ * checks (each success draws a base), a deletion check and, for a
+ * kept base, a substitution check (a success draws one of the three
+ * other bases); trailing insertion checks end the read. A zero rate
+ * draws nothing. The RNG, the species picker and the write buffer
+ * carry across calls, so next(a) then next(b) returns exactly the
+ * reads of one next(a + b). WetlabGoldenTest pins the result.
+ *
+ * The pool must outlive the sequencer and stay unchanged while it
+ * runs.
  */
+class Sequencer
+{
+  public:
+    Sequencer(const Pool &pool, const SequencerParams &params);
+    ~Sequencer();
+
+    /** The next @p n reads of the run. */
+    std::vector<Read> next(size_t n);
+
+  private:
+    struct State;
+    std::unique_ptr<State> state_;
+};
+
+/** Draw @p num_reads noisy reads from the pool:
+ *  Sequencer(pool, params).next(num_reads). */
 std::vector<Read> sequencePool(const Pool &pool, size_t num_reads,
                                const SequencerParams &params);
 

@@ -502,6 +502,120 @@ TEST_F(DecodeServiceTest, LatencyHistogramsCountEveryRequest)
     }
 }
 
+// A fed request is submitted before its reads exist: the chunks below
+// are pushed only after the dispatcher has taken the request. It
+// decodes to decodeAll's units and stats, and counts as one request,
+// not as a stream.
+TEST_F(DecodeServiceTest, FedRequestChunksMatchDecodeAll)
+{
+    for (size_t threads : {1u, 4u}) {
+        telemetry::MetricsRegistry registry;
+        std::promise<void> dispatched;
+        DecodeServiceParams params;
+        params.threads = threads;
+        params.metrics = &registry;
+        params.on_dispatch = [&dispatched](TenantId, size_t) {
+            dispatched.set_value();
+        };
+        DecodeService service(params);
+
+        ReadFeedWriter writer;
+        std::future<DecodeOutcome> future =
+            service.submit(*decoders_[0], writer);
+        dispatched.get_future().wait();
+        EXPECT_EQ(service.inFlightRequests(), 1u);
+
+        const std::vector<sim::Read> &reads = reads_[0];
+        size_t at = 0;
+        for (size_t size : {size_t{1}, size_t{0}, size_t{600}, size_t{7},
+                            reads.size() - 608}) {
+            writer.push(
+                {reads.begin() + static_cast<std::ptrdiff_t>(at),
+                 reads.begin() + static_cast<std::ptrdiff_t>(at + size)});
+            at += size;
+        }
+        ASSERT_EQ(at, reads.size());
+        writer.close();
+        EXPECT_EQ(future.get(), golden_[0]) << "threads=" << threads;
+        EXPECT_EQ(service.inFlightRequests(), 0u);
+
+        telemetry::MetricsSnapshot snap = registry.snapshot();
+        EXPECT_EQ(snap.counters.at("decode_service.requests_submitted"),
+                  1u);
+        EXPECT_EQ(snap.counters.at("decode_service.batches_submitted"),
+                  1u);
+        EXPECT_EQ(snap.counters.at("decode_service.requests_decoded"),
+                  1u);
+        EXPECT_EQ(snap.counters.at("decode_service.requests_failed"),
+                  0u);
+        EXPECT_EQ(snap.counters.at("decode_service.stream_chunks"), 0u);
+        EXPECT_EQ(
+            snap.histograms.at("decode_service.queue_latency_us").count,
+            1u);
+        EXPECT_EQ(
+            snap.histograms.at("decode_service.decode_latency_us").count,
+            1u);
+        EXPECT_EQ(snap.gauges.at("decode_service.queue_depth"), 0);
+    }
+}
+
+// A producer that leaves without closing its writer (it threw, say)
+// fails its request instead of leaving the dispatcher waiting: the
+// future carries the error, the queue slot frees, and the service
+// keeps decoding.
+TEST_F(DecodeServiceTest, DroppedFeedFailsItsRequestAndFreesTheSlot)
+{
+    telemetry::MetricsRegistry registry;
+    DecodeServiceParams params;
+    params.threads = 2;
+    params.max_queue_depth = 1;
+    params.metrics = &registry;
+    DecodeService service(params);
+
+    std::future<DecodeOutcome> orphan;
+    {
+        ReadFeedWriter writer;
+        orphan = service.submit(*decoders_[0], writer);
+        writer.push({reads_[0].begin(), reads_[0].begin() + 100});
+    }
+    EXPECT_THROW(orphan.get(), FatalError);
+    EXPECT_EQ(service.inFlightRequests(), 0u);
+
+    // The freed slot admits the next request at depth 1.
+    EXPECT_EQ(service.submit(*decoders_[1], reads_[1]).get(),
+              golden_[1]);
+
+    telemetry::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counters.at("decode_service.requests_submitted"),
+              2u);
+    EXPECT_EQ(snap.counters.at("decode_service.requests_failed"), 1u);
+    EXPECT_EQ(snap.counters.at("decode_service.requests_decoded"), 1u);
+}
+
+// Admission sheds a fed request at submit, before its producer has
+// made a single read: the future is already ready.
+TEST_F(DecodeServiceTest, ShedFedRequestIsReadyAtSubmit)
+{
+    DecodeServiceParams params;
+    params.threads = 2;
+    params.max_queue_depth = 1;
+    params.overflow = OverflowPolicy::Reject;
+    params.start_paused = true;
+    DecodeService service(params);
+
+    std::future<DecodeOutcome> admitted =
+        service.submit(*decoders_[0], reads_[0]);
+    ReadFeedWriter writer;
+    std::future<DecodeOutcome> shed =
+        service.submit(*decoders_[1], writer);
+    ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(shed.get().status, DecodeStatus::Overloaded);
+
+    service.resumeDispatch();
+    EXPECT_EQ(admitted.get(), golden_[0]);
+}
+
 TEST_F(DecodeServiceTest, TenantInstrumentCreationDoesNotRaceExport)
 {
     // Regression pin: first sighting of a non-default tenant creates

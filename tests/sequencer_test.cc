@@ -184,7 +184,11 @@ randomPool(Rng &rng, const std::vector<double> &masses,
     return pool;
 }
 
-TEST(SequencerTest, MatchesPerBaseReference)
+/** Pools that stress the species pick: equal and heavily skewed
+ *  masses, zero-mass species, mixed lengths, one species, and a
+ *  subnormal total. */
+std::vector<std::pair<std::string, Pool>>
+pickStressPools()
 {
     Rng rng(0x5E0);
     std::vector<std::pair<std::string, Pool>> pools;
@@ -209,13 +213,21 @@ TEST(SequencerTest, MatchesPerBaseReference)
                        randomPool(rng, {1.0}, {150}));
     pools.emplace_back("tiny total",
                        randomPool(rng, {1e-310, 3e-310, 2e-310}, {150}));
+    return pools;
+}
 
+struct Rates
+{
+    double sub, ins, del;
+};
+
+/** All-zero rates, each rate zero in turn, the defaults, and two
+ *  noisier channels. */
+std::vector<Rates>
+channelRateSets()
+{
     const SequencerParams defaults;
-    struct Rates
-    {
-        double sub, ins, del;
-    };
-    const Rates rate_sets[] = {
+    return {
         {0.0, 0.0, 0.0},
         {0.0, defaults.ins_rate, defaults.del_rate},
         {defaults.sub_rate, 0.0, defaults.del_rate},
@@ -224,8 +236,12 @@ TEST(SequencerTest, MatchesPerBaseReference)
         {0.02, 0.01, 0.01},
         {0.10, 0.05, 0.05},
     };
-    for (const auto &[name, pool] : pools) {
-        for (const Rates &rates : rate_sets) {
+}
+
+TEST(SequencerTest, MatchesPerBaseReference)
+{
+    for (const auto &[name, pool] : pickStressPools()) {
+        for (const Rates &rates : channelRateSets()) {
             for (size_t num_reads : {size_t{0}, size_t{1}, size_t{1200}}) {
                 for (uint64_t seed : {7u, 11u, 0x5EEDu}) {
                     SCOPED_TRACE(testing::Message()
@@ -248,6 +264,53 @@ TEST(SequencerTest, MatchesPerBaseReference)
                                   want[i].species_index)
                             << "read " << i;
                     }
+                }
+            }
+        }
+    }
+}
+
+// A range read feeds its decode chunk by chunk from one Sequencer, so
+// the run must not depend on how it is split into next() calls.
+TEST(SequencerTest, SplitsMatchOneCall)
+{
+    constexpr size_t kReads = 2600;
+    const std::vector<size_t> splits = {0, 1, 7, 1199, 1200,
+                                        kReads - 2407};
+    for (const auto &[name, pool] : pickStressPools()) {
+        for (const Rates &rates : channelRateSets()) {
+            SCOPED_TRACE(testing::Message()
+                         << name << ", rates " << rates.sub << "/"
+                         << rates.ins << "/" << rates.del);
+            SequencerParams params;
+            params.sub_rate = rates.sub;
+            params.ins_rate = rates.ins;
+            params.del_rate = rates.del;
+            const std::vector<Read> want =
+                sequencePool(pool, kReads, params);
+            ASSERT_EQ(want.size(), kReads);
+
+            std::vector<std::vector<Read>> runs(3);
+            Sequencer split(pool, params);
+            for (size_t n : splits) {
+                std::vector<Read> part = split.next(n);
+                ASSERT_EQ(part.size(), n);
+                runs[0].insert(runs[0].end(), part.begin(), part.end());
+            }
+            Sequencer single(pool, params);
+            for (size_t r = 0; r < kReads; ++r)
+                runs[1].push_back(std::move(single.next(1).front()));
+            runs[2] = Sequencer(pool, params).next(kReads);
+
+            for (size_t run = 0; run < runs.size(); ++run) {
+                const std::vector<Read> &got = runs[run];
+                ASSERT_EQ(got.size(), kReads) << "run " << run;
+                for (size_t i = 0; i < kReads; ++i) {
+                    ASSERT_EQ(got[i].seq, want[i].seq)
+                        << "run " << run << ", read " << i;
+                    ASSERT_EQ(got[i].species_index,
+                              want[i].species_index)
+                        << "run " << run << ", read " << i;
                 }
             }
         }

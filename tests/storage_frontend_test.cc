@@ -66,7 +66,15 @@ TEST(StorageFrontendTest, RoutedDeviceReadsMatchSynchronous)
     auto golden_range = golden_device->readRange(1, 4);
     DecodeStats golden_range_stats = golden_device->lastStats();
     auto golden_all = golden_device->readAll();
+    DecodeStats golden_all_stats = golden_device->lastStats();
     auto golden_block = golden_device->readBlock(3);
+    auto golden_one = golden_device->readRange(2, 2);
+    DecodeStats golden_one_stats = golden_device->lastStats();
+    // The routed range reads feed their decode in chunks: readAll's
+    // 1,800 reads are not a multiple of the chunk, and a one-block
+    // range is exactly one.
+    ASSERT_EQ(golden_all_stats.reads_in, 1800u);
+    ASSERT_EQ(golden_one_stats.reads_in, BlockDevice::kFeedChunkReads);
 
     for (size_t threads : {1u, 2u, 8u}) {
         DecodeServiceParams params;
@@ -81,7 +89,13 @@ TEST(StorageFrontendTest, RoutedDeviceReadsMatchSynchronous)
             << "threads=" << threads;
         EXPECT_EQ(frontend.readAll(*device), golden_all)
             << "threads=" << threads;
+        EXPECT_EQ(device->lastStats(), golden_all_stats)
+            << "threads=" << threads;
         EXPECT_EQ(frontend.readBlock(*device, 3), golden_block)
+            << "threads=" << threads;
+        EXPECT_EQ(frontend.readBlocks(*device, 2, 2), golden_one)
+            << "threads=" << threads;
+        EXPECT_EQ(device->lastStats(), golden_one_stats)
             << "threads=" << threads;
     }
 }

@@ -527,6 +527,59 @@ TEST_F(ServiceTraceTest, StreamSessionsHangChunksOffOneRoot)
     EXPECT_EQ(names.count("decode.early_termination"), 1u);
 }
 
+// A fed request is one request in the trace: one admission, queue and
+// decode span. Under its decode, each chunk filters and clusters on its
+// own, consensus runs once, and each pull gets its own wait span (one
+// more than the chunks: the last one sees the feed close).
+TEST_F(ServiceTraceTest, FedRequestSpansOneDecodeWithPerChunkStages)
+{
+    TraceCollector collector;
+    core::DecodeServiceParams params;
+    params.threads = 2;
+    params.tracer = &collector;
+    core::DecodeService service(params);
+
+    core::ReadFeedWriter writer;
+    std::future<core::DecodeOutcome> future =
+        service.submit(*decoder_, writer);
+    constexpr size_t kChunks = 3;
+    const size_t step = reads_.size() / kChunks + 1;
+    for (size_t at = 0; at < reads_.size(); at += step) {
+        const size_t end = std::min(at + step, reads_.size());
+        writer.push({reads_.begin() + static_cast<std::ptrdiff_t>(at),
+                     reads_.begin() + static_cast<std::ptrdiff_t>(end)});
+    }
+    writer.close();
+    EXPECT_EQ(future.get().status, core::DecodeStatus::Ok);
+    service.shutdown();
+
+    ASSERT_EQ(collector.traceCount(), 1u);
+    const FinishedTrace trace = collector.traces().front();
+    EXPECT_TRUE(wellFormedTree(trace));
+    const std::multiset<std::string> names = spanNames(trace);
+    EXPECT_EQ(names.count("request"), 1u);
+    EXPECT_EQ(names.count("admission"), 1u);
+    EXPECT_EQ(names.count("queue"), 1u);
+    EXPECT_EQ(names.count("decode"), 1u);
+    EXPECT_EQ(names.count("decode.primer_filter"), kChunks);
+    EXPECT_EQ(names.count("decode.cluster"), kChunks);
+    EXPECT_EQ(names.count("decode.feed_wait"), kChunks + 1);
+    EXPECT_EQ(names.count("decode.consensus"), 1u);
+    EXPECT_GT(names.count("decode.rs_unit"), 0u);
+
+    // The stage and wait spans hang directly off the one decode span,
+    // so its self time excludes the waits.
+    SpanId decode = kNoSpan;
+    for (const Span &span : trace.spans)
+        if (span.name == "decode")
+            decode = span.id;
+    for (const Span &span : trace.spans) {
+        if (span.name.rfind("decode.", 0) == 0) {
+            EXPECT_EQ(span.parent, decode) << span.name;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Simulator-level: byte-reproducible virtual-clock traces.
 
