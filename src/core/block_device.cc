@@ -10,6 +10,13 @@
 
 namespace dnastore::core {
 
+namespace {
+
+/** How a shed routed read names its caller. */
+constexpr const char *kReadCaller = "BlockDevice read";
+
+} // namespace
+
 BlockDevice::BlockDevice(BlockDeviceParams params, dna::Sequence forward,
                          dna::Sequence reverse, uint32_t file_id)
     : params_(params),
@@ -210,40 +217,6 @@ BlockDevice::roundTrip(const std::vector<sim::PcrPrimer> &primers,
     return amplifyTargeted(primers, reads).sequence();
 }
 
-namespace {
-
-/** A routed decode's units and stats; throws the typed error of a
- *  request the service shed. */
-std::map<uint64_t, BlockVersions>
-routedUnits(DecodeOutcome outcome, DecodeStats *stats)
-{
-    if (outcome.status == DecodeStatus::Throttled)
-        throw ThrottledError("BlockDevice read shed by the tenant's "
-                             "token bucket");
-    if (outcome.status == DecodeStatus::Overloaded)
-        throw OverloadedError("BlockDevice read shed by the decode "
-                              "service");
-    if (stats)
-        *stats = outcome.stats;
-    return std::move(outcome.units);
-}
-
-} // namespace
-
-std::map<uint64_t, BlockVersions>
-BlockDevice::decodeReads(std::vector<sim::Read> reads,
-                         DecodeStats *stats, DecodeService *service,
-                         TenantId tenant,
-                         const telemetry::TraceContext &trace)
-{
-    if (!service)
-        return decoder_.decodeAll(std::move(reads), stats,
-                                  ThreadPool::shared(), trace);
-    return routedUnits(
-        service->submit(decoder_, std::move(reads), tenant, trace).get(),
-        stats);
-}
-
 std::map<uint64_t, BlockVersions>
 BlockDevice::decodeAmplified(Amplified amplified, DecodeService *service,
                              TenantId tenant,
@@ -280,7 +253,7 @@ BlockDevice::decodeAmplified(Amplified amplified, DecodeService *service,
     // Tear the product down while the decode finishes its last chunk,
     // not after the decode.
     amplified.product = sim::Pool();
-    return routedUnits(outcome.get(), &last_stats_);
+    return routedUnits(outcome.get(), &last_stats_, kReadCaller);
 }
 
 std::optional<Bytes>
@@ -329,8 +302,9 @@ BlockDevice::resolveBlock(
                                 1.0}},
                 params_.reads_per_block_access);
             DecodeStats stats;
-            for (auto &entry : decodeReads(std::move(reads), &stats,
-                                           service, tenant, trace))
+            for (auto &entry :
+                 decodeReads(decoder_, std::move(reads), &stats, service,
+                             tenant, trace, kReadCaller))
                 fetched.insert(std::move(entry));
             versions = lookup(container);
             if (!versions)
@@ -353,8 +327,8 @@ BlockDevice::readBlock(uint64_t block, DecodeService *service,
         {sim::PcrPrimer{partition_.blockPrimer(block), 1.0}},
         params_.reads_per_block_access);
     last_stats_ = DecodeStats();
-    auto units = decodeReads(std::move(reads), &last_stats_, service,
-                             tenant, trace);
+    auto units = decodeReads(decoder_, std::move(reads), &last_stats_,
+                             service, tenant, trace, kReadCaller);
     return resolveBlock(block, units, service, tenant, trace);
 }
 

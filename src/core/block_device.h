@@ -246,22 +246,14 @@ class BlockDevice
     std::vector<sim::Read> roundTrip(
         const std::vector<sim::PcrPrimer> &primers, size_t reads);
 
-    /** Decode @p reads synchronously, or through @p service when one
-     *  is given, billed to @p tenant (throws OverloadedError /
-     *  ThrottledError if the service sheds it). */
-    std::map<uint64_t, BlockVersions> decodeReads(
-        std::vector<sim::Read> reads, DecodeStats *stats,
-        DecodeService *service, TenantId tenant,
-        const telemetry::TraceContext &trace);
-
     /**
      * The decode half of readRange()/readAll(), into last_stats_.
      * Without @p service: sequence the product whole and decodeAll
      * it (sequenceRange()/sequenceAll() + decodeAll). With one: a fed
      * request, submitted before the first read is sequenced, that
      * this thread then feeds chunk by chunk under a sim.sequence span
-     * of @p trace. A shed request throws as decodeReads does, and no
-     * read is sequenced for it.
+     * of @p trace. A shed request throws as routedUnits() does, and
+     * no read is sequenced for it.
      */
     std::map<uint64_t, BlockVersions> decodeAmplified(
         Amplified amplified, DecodeService *service, TenantId tenant,

@@ -48,6 +48,33 @@ outcomeName(DecodeStatus status)
 
 } // namespace
 
+std::map<uint64_t, BlockVersions>
+routedUnits(DecodeOutcome outcome, DecodeStats *stats, const char *caller)
+{
+    if (outcome.status == DecodeStatus::Throttled)
+        throw ThrottledError(std::string(caller) +
+                             " shed by the tenant's token bucket");
+    if (outcome.status == DecodeStatus::Overloaded)
+        throw OverloadedError(std::string(caller) +
+                              " shed by the decode service");
+    if (stats)
+        *stats = outcome.stats;
+    return std::move(outcome.units);
+}
+
+std::map<uint64_t, BlockVersions>
+decodeReads(const Decoder &decoder, std::vector<sim::Read> reads,
+            DecodeStats *stats, DecodeService *service, TenantId tenant,
+            const telemetry::TraceContext &trace, const char *caller)
+{
+    if (!service)
+        return decoder.decodeAll(std::move(reads), stats,
+                                 ThreadPool::shared(), trace);
+    return routedUnits(
+        service->submit(decoder, std::move(reads), tenant, trace).get(),
+        stats, caller);
+}
+
 /**
  * Shared session state behind every copy of a DecodeStream handle.
  * The StreamingDecoder itself is touched only from the dispatcher

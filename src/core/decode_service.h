@@ -38,7 +38,7 @@
  *
  * Admission control: max_queue_depth bounds the requests admitted but
  * not yet fulfilled, service-wide; TenantParams::max_queue_depth adds
- * a per-tenant bound. A submission that would exceed either either
+ * a per-tenant bound. A submission that would exceed either bound
  * blocks the submitter until space frees (OverflowPolicy::Block, the
  * default) or is shed (OverflowPolicy::Reject): every future of the
  * shed batch resolves immediately with DecodeStatus::Overloaded — a
@@ -137,9 +137,10 @@ enum class OverflowPolicy
 /** Service-wide knobs. */
 struct DecodeServiceParams
 {
-    /** Worker threads of the shared pool (0 = hardware
-     *  concurrency). Partition jobs and their internal stages share
-     *  these workers. */
+    /** Worker threads of the service's own pool (0 = hardware
+     *  concurrency); this pool is not ThreadPool::shared(), which
+     *  serves synchronous decodes. Partition jobs and their internal
+     *  stages share these workers. */
     size_t threads = 0;
 
     /** Maximum requests admitted but not yet fulfilled (queued plus
@@ -171,9 +172,10 @@ struct DecodeServiceParams
 
     /** Bucket bounds for the queue/decode latency histograms
      *  (service-wide and per-tenant). Empty = defaultLatencyBoundsUs()
-     *  (decade grid). Workload benches pass fineLatencyBoundsUs() so
-     *  p99/p999 extraction has usable resolution. All services
-     *  sharing one registry must agree (bounds are fixed per name). */
+     *  (decade grid). The workload simulator passes
+     *  fineLatencyBoundsUs() so p99/p999 extraction has usable
+     *  resolution. All services sharing one registry must agree
+     *  (bounds are fixed per name). */
     std::vector<uint64_t> latency_bounds_us;
 
     /** Time source for the token buckets AND the queue/decode latency
@@ -279,6 +281,30 @@ class ThrottledError : public OverloadedError
     {}
 };
 
+class DecodeService;
+
+/**
+ * The units of a routed request's @p outcome, with its stats copied
+ * into @p stats when non-null. A shed request throws instead:
+ * ThrottledError when the tenant's token bucket shed it,
+ * OverloadedError when the service did, each message naming
+ * @p caller.
+ */
+std::map<uint64_t, BlockVersions> routedUnits(DecodeOutcome outcome,
+                                              DecodeStats *stats,
+                                              const char *caller);
+
+/**
+ * Decode @p reads with @p decoder: synchronously on
+ * ThreadPool::shared() when @p service is null, else as one request
+ * to @p service billed to @p tenant, whose outcome routedUnits()
+ * unpacks (so a shed request throws, naming @p caller).
+ */
+std::map<uint64_t, BlockVersions> decodeReads(
+    const Decoder &decoder, std::vector<sim::Read> reads,
+    DecodeStats *stats, DecodeService *service, TenantId tenant,
+    const telemetry::TraceContext &trace, const char *caller);
+
 /** How one expected unit of a stream resolved. */
 enum class UnitStatus
 {
@@ -328,8 +354,6 @@ struct StreamParams
      *  roots its own trace when it has a tracer). */
     telemetry::TraceContext trace;
 };
-
-class DecodeService;
 
 /**
  * Handle to one streaming decode session on a DecodeService. Obtained

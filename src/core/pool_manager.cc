@@ -8,6 +8,13 @@
 
 namespace dnastore::core {
 
+namespace {
+
+/** How a shed routed read names its caller. */
+constexpr const char *kReadCaller = "PoolManager read";
+
+} // namespace
+
 PoolManager::PoolManager(PoolManagerParams params)
     : params_(std::move(params)), costs_(params_.costs)
 {
@@ -107,31 +114,6 @@ PoolManager::storeFile(const Bytes &data)
     return file_id;
 }
 
-std::map<uint64_t, BlockVersions>
-PoolManager::decodeReads(const FileState &state,
-                         std::vector<sim::Read> reads,
-                         DecodeStats *stats, DecodeService *service,
-                         TenantId tenant,
-                         const telemetry::TraceContext &trace) const
-{
-    if (!service)
-        return state.decoder->decodeAll(reads, stats,
-                                        ThreadPool::shared(), trace);
-    DecodeOutcome outcome =
-        service
-            ->submit(*state.decoder, std::move(reads), tenant, trace)
-            .get();
-    if (outcome.status == DecodeStatus::Throttled)
-        throw ThrottledError("PoolManager read shed by the tenant's "
-                             "token bucket");
-    if (outcome.status == DecodeStatus::Overloaded)
-        throw OverloadedError("PoolManager read shed by the decode "
-                              "service");
-    if (stats)
-        *stats = outcome.stats;
-    return std::move(outcome.units);
-}
-
 std::optional<Bytes>
 PoolManager::readBlock(uint32_t file_id, uint64_t block,
                        DecodeService *service, TenantId tenant)
@@ -167,8 +149,8 @@ PoolManager::readBlock(uint32_t file_id, uint64_t block,
         accessed, params_.reads_per_block_access, sequencer);
 
     DecodeStats stats;
-    auto units =
-        decodeReads(state, std::move(reads), &stats, service, tenant);
+    auto units = decodeReads(*state.decoder, std::move(reads), &stats,
+                             service, tenant, {}, kReadCaller);
     auto it = units.find(block);
     if (it == units.end() || !it->second.versions.count(0))
         return std::nullopt;
@@ -233,8 +215,8 @@ PoolManager::readFile(uint32_t file_id, DecodeService *service,
                       const telemetry::TraceContext &trace)
 {
     std::vector<sim::Read> reads = sequenceFile(file_id);
-    auto units = decodeReads(stateOf(file_id), std::move(reads),
-                             nullptr, service, tenant, trace);
+    auto units = decodeReads(*stateOf(file_id).decoder, std::move(reads),
+                             nullptr, service, tenant, trace, kReadCaller);
     return assembleFile(file_id, units);
 }
 

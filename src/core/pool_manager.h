@@ -154,14 +154,6 @@ class PoolManager
     FileState &stateOf(uint32_t file_id);
     const FileState &stateOf(uint32_t file_id) const;
 
-    /** Decode @p reads with a file's decoder, synchronously or via
-     *  @p service billed to @p tenant (throws OverloadedError /
-     *  ThrottledError if the service sheds it). */
-    std::map<uint64_t, BlockVersions> decodeReads(
-        const FileState &state, std::vector<sim::Read> reads,
-        DecodeStats *stats, DecodeService *service, TenantId tenant,
-        const telemetry::TraceContext &trace = {}) const;
-
     /** Mix a fresh synthesis order into the shared pool. */
     void synthesizeAndMix(const std::vector<sim::DesignedMolecule> &order);
 };

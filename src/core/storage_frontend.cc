@@ -175,16 +175,9 @@ StorageFrontend::readBlocksBatch(const std::vector<RangeRead> &ranges)
         std::vector<std::vector<std::optional<Bytes>>> results;
         results.reserve(ranges.size());
         for (size_t i = 0; i < ranges.size(); ++i) {
-            DecodeOutcome outcome = futures[i].get();
-            if (outcome.status == DecodeStatus::Throttled)
-                throw ThrottledError(
-                    "readBlocksBatch shed by the tenant's token "
-                    "bucket");
-            if (outcome.status == DecodeStatus::Overloaded)
-                throw OverloadedError(
-                    "readBlocksBatch shed by the decode service");
             results.push_back(ranges[i].device->assembleRange(
-                ranges[i].lo, ranges[i].hi, outcome.units,
+                ranges[i].lo, ranges[i].hi,
+                routedUnits(futures[i].get(), nullptr, "readBlocksBatch"),
                 &service_, tenant_, ctx));
             recordBlocks(results.back());
         }
@@ -211,17 +204,10 @@ StorageFrontend::readFiles(PoolManager &pool,
 
         std::vector<std::optional<Bytes>> files;
         files.reserve(file_ids.size());
-        for (size_t i = 0; i < file_ids.size(); ++i) {
-            DecodeOutcome outcome = futures[i].get();
-            if (outcome.status == DecodeStatus::Throttled)
-                throw ThrottledError(
-                    "readFiles shed by the tenant's token bucket");
-            if (outcome.status == DecodeStatus::Overloaded)
-                throw OverloadedError(
-                    "readFiles shed by the decode service");
-            files.push_back(
-                pool.assembleFile(file_ids[i], outcome.units));
-        }
+        for (size_t i = 0; i < file_ids.size(); ++i)
+            files.push_back(pool.assembleFile(
+                file_ids[i],
+                routedUnits(futures[i].get(), nullptr, "readFiles")));
         return files;
     });
 }
