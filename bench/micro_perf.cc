@@ -239,27 +239,33 @@ BM_ClusterReadsParallel(benchmark::State &state)
 BENCHMARK(BM_ClusterReadsParallel);
 
 /** The cluster stage at its operating point in a decode: 40 random
- *  150-base strands that share one 20-base prefix, as a partition's
- *  strands share the forward primer, and 1,200 reads (30 per strand
- *  on average) through the sequencer's default channel, clustered on
- *  one thread. Unlike BM_ClusterReads, every read pays the MinHash
- *  conversion of noisy bases, and the shared prefix brings the
- *  rejected distance tests. */
+ *  150-base strands that share one 20-base prefix and one 20-base
+ *  suffix, as a partition's strands share the forward primer and the
+ *  reverse-primer site, and 1,200 reads (30 per strand on average)
+ *  through the sequencer's default channel, clustered on one thread
+ *  with the decoder's signature window (the 110-base strand body).
+ *  Unlike BM_ClusterReads, every read pays the MinHash conversion of
+ *  noisy bases, and the shared ends bring the rejected distance
+ *  tests. */
 void
 BM_ClusterReadsNoisy(benchmark::State &state)
 {
+    constexpr size_t kPrimerLength = 20;
     Rng rng(11);
-    const dna::Sequence primer = randomSeq(rng, 20);
+    const dna::Sequence primer = randomSeq(rng, kPrimerLength);
+    const dna::Sequence site = randomSeq(rng, kPrimerLength);
     sim::Pool pool;
     for (int strand = 0; strand < 40; ++strand)
-        pool.add(primer + randomSeq(rng, 130), {}, 1.0);
+        pool.add(primer + randomSeq(rng, 110) + site, {}, 1.0);
     std::vector<dna::Sequence> reads;
     for (sim::Read &read :
          sim::sequencePool(pool, 40 * 30, sim::SequencerParams{}))
         reads.push_back(std::move(read.seq));
-    cluster::ClustererParams params;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cluster::clusterReads(reads, params));
+    for (auto _ : state) {
+        cluster::OnlineClusterer clusterer(cluster::ClustererParams{},
+                                           kPrimerLength);
+        benchmark::DoNotOptimize(clusterer.assignBatch(reads));
+    }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(reads.size()));
 }

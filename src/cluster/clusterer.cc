@@ -1,6 +1,7 @@
 #include "cluster/clusterer.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/arena.h"
@@ -16,16 +17,14 @@ namespace {
 /**
  * MinHash signatures of a read's q-gram set, one per hash salt. The
  * rolling 2-bit q-gram packing and splitMix64 mixing run in the
- * vectorized minhash kernel (all salt lanes advance together); reads
- * shorter than one q-gram have an empty q-gram set and fall back to
- * hashing the whole string, exactly as before.
+ * vectorized minhash kernel (all salt lanes advance together); a
+ * window shorter than one q-gram has an empty q-gram set and falls
+ * back to hashing the whole string.
  */
 void
-minHashSignatures(const dna::Sequence &read, size_t q,
-                  const uint64_t *salts, size_t num_salts,
-                  uint64_t *out)
+minHashSignatures(std::string_view s, size_t q, const uint64_t *salts,
+                  size_t num_salts, uint64_t *out)
 {
-    const std::string &s = read.str();
     if (s.size() < q) {
         for (size_t b = 0; b < num_salts; ++b)
             out[b] = fnv1a(s) ^ salts[b];
@@ -42,10 +41,23 @@ minHashSignatures(const dna::Sequence &read, size_t q,
                             num_salts, out);
 }
 
+/** The bases of @p read its signatures hash: a view of the read
+ *  without @p skip bases at each end, or the whole read when it is
+ *  shorter than 2 * skip + q. */
+std::string_view
+signatureWindow(const dna::Sequence &read, size_t skip, size_t q)
+{
+    std::string_view s = read.str();
+    if (s.size() < 2 * skip + q)
+        return s;
+    return s.substr(skip, s.size() - 2 * skip);
+}
+
 } // namespace
 
-OnlineClusterer::OnlineClusterer(ClustererParams params)
-    : params_(params)
+OnlineClusterer::OnlineClusterer(ClustererParams params,
+                                 size_t signature_skip)
+    : params_(params), signature_skip_(signature_skip)
 {
     Rng rng = Rng::deriveStream(params_.seed, "clusterer");
     salts_.resize(params_.signatures);
@@ -59,8 +71,10 @@ OnlineClusterer::OnlineClusterer(ClustererParams params)
 size_t
 OnlineClusterer::assign(dna::Sequence read)
 {
-    minHashSignatures(read, params_.qgram, salts_.data(),
-                      salts_.size(), signature_scratch_.data());
+    minHashSignatures(
+        signatureWindow(read, signature_skip_, params_.qgram),
+        params_.qgram, salts_.data(), salts_.size(),
+        signature_scratch_.data());
     return assignWithSignatures(std::move(read),
                                 signature_scratch_.data());
 }
@@ -143,8 +157,10 @@ OnlineClusterer::assignBatch(std::vector<dna::Sequence> reads,
     // depend only on (read, salt), never on scheduling.
     std::vector<uint64_t> signatures(reads.size() * bands);
     parallelFor(pool, reads.size(), [&](size_t r) {
-        minHashSignatures(reads[r], params_.qgram, salts_.data(),
-                          bands, signatures.data() + r * bands);
+        minHashSignatures(
+            signatureWindow(reads[r], signature_skip_, params_.qgram),
+            params_.qgram, salts_.data(), bands,
+            signatures.data() + r * bands);
     });
 
     // Phase 2: sequential greedy bucket/assign in chunk order. This

@@ -9,9 +9,16 @@
  * signatures and then greedily assigns each read to the first cluster
  * representative within the distance threshold, creating a new
  * cluster otherwise — a single-pass approximation of the
- * distributed algorithm in [28] that is exact for well-separated
- * clusters (which scrambled payloads guarantee with high
- * probability).
+ * distributed algorithm in [28]. The bucketing helps only where
+ * signatures separate distinct origins. Scrambled payloads do, but
+ * every read of a partition also carries the same forward primer and
+ * reverse-primer site: hashed, their q-grams are about a fifth of a
+ * read's, a band whose minimum falls on one puts every cluster of the
+ * partition into one bucket, and on a 19,200-read range decode the
+ * capped candidate search then misses the read's own cluster and
+ * splits molecules into fragments. The decoder therefore hashes only
+ * the strand body (see the OnlineClusterer constructor); the
+ * distance test still compares whole reads.
  *
  * The greedy pass is inherently online: each read's assignment
  * depends only on the clusters built from the reads before it.
@@ -63,8 +70,11 @@ struct ClustererParams
     size_t distance_threshold = 8;
 
     /** Cap on representatives compared per read, enforced across all
-     *  signature bands (guards worst-case quadratic behaviour on
-     *  adversarial inputs). */
+     *  signature bands. It bounds the cost of a hot bucket, which is
+     *  no adversarial case: q-grams every read shares (whole-read
+     *  signatures over a partition's primer sites) made hot buckets
+     *  on ordinary range reads, and a read whose own cluster lies
+     *  beyond the cap founds a fragment. */
     size_t max_candidates = 64;
 
     uint64_t seed = 17;
@@ -86,7 +96,15 @@ struct ClustererParams
 class OnlineClusterer
 {
   public:
-    explicit OnlineClusterer(ClustererParams params);
+    /**
+     * @p signature_skip bases at each end of a read are left out of
+     * its MinHash signatures: the decoder passes the primer length,
+     * so the q-grams every read of a partition shares never pick a
+     * bucket. 0 hashes the whole read. A read shorter than
+     * 2 * signature_skip + qgram is hashed whole.
+     */
+    explicit OnlineClusterer(ClustererParams params,
+                             size_t signature_skip = 0);
 
     /**
      * Place the next read of the stream. Returns the index of the
@@ -145,6 +163,7 @@ class OnlineClusterer
     };
 
     ClustererParams params_;
+    size_t signature_skip_;
     std::vector<uint64_t> salts_;
     std::vector<dna::Sequence> reads_;
     std::vector<Cluster> clusters_;

@@ -19,9 +19,10 @@ struct Active
 /*
  * The one place that maps an ISA to its kernels: each entry is the
  * implementation that measured fastest for that platform at the
- * decoder's shapes (edit_row: 7- and 17-cell rows; minhash: 150
- * bases, q = 8, 4 salts; gf16_syndromes: 15 columns x 4 parity x 48
- * rows). README.md, "SIMD & memory layout", lists the timings.
+ * decoder's shapes (edit_row: 7- and 17-cell rows; minhash: the
+ * 110-base strand body, q = 8, 4 salts; gf16_syndromes: 15 columns
+ * x 4 parity x 48 rows). README.md, "SIMD & memory layout", lists
+ * the timings.
  */
 constexpr Kernels kScalarKernels = {
     detail::editRowScalar,

@@ -264,7 +264,8 @@ StreamingDecoder::StreamingDecoder(const Partition &partition,
                                    DecoderParams params,
                                    StreamingParams streaming)
     : partition_(partition), params_(params),
-      streaming_(std::move(streaming)), clusterer_(params_.cluster)
+      streaming_(std::move(streaming)),
+      clusterer_(params_.cluster, partition_.config().primer_length)
 {
     eager_ = !streaming_.expected_units.empty();
     for (const UnitKey &unit : streaming_.expected_units)

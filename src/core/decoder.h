@@ -6,7 +6,10 @@
  *
  *  1. keep reads carrying the partition's primer stem (and, for a
  *     targeted read, the elongated prefix);
- *  2. cluster the reads by edit distance [28];
+ *  2. cluster the reads by edit distance [28], bucketing them by
+ *     MinHash signatures of the strand body (the read without its
+ *     primer_length bases at each end, which every read of the
+ *     partition shares);
  *  3. in descending cluster-size order, reconstruct a strand per
  *     cluster with double-sided BMA [20], parse its address, and
  *     keep the first reconstruction per address (later duplicates

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/block_device.h"
+#include "corpus/text.h"
 #include "support/fixtures.h"
 
 namespace dnastore::core {
@@ -535,6 +540,98 @@ TEST(WetlabMemoTest, PersistedMemoMatchesAFreshCallAsThePoolGrows)
         expectSameProduct(with, with_stats, without, without_stats);
     }
     EXPECT_GT(device->updateCount(kGoldenBlock), 2u);  // overflow hops
+}
+
+// ---------------------------------------------------------------------------
+// Clustering on primer pair 2 (GATTACAG..., the benchmark's pair 2),
+// whose primer q-grams often hold a signature band's minimum. Hashed
+// whole, every read of a partition then shares that band's bucket,
+// and on a range read's 19,200 reads the capped candidate search
+// misses a read's own cluster: molecules split into fragments, and a
+// stream keeps one unit below the early-accept margin to the end.
+
+/** A @p blocks-block device on primer pair 2 as the benchmark builds
+ *  its third device from @p seed: penalty 1.0, seeds and file derived
+ *  from @p seed. */
+std::unique_ptr<BlockDevice>
+pairTwoDevice(uint64_t seed, uint64_t blocks, Bytes *file)
+{
+    constexpr uint64_t kDevice = 2;
+    BlockDeviceParams params;
+    params.config.index_seed += 17 * kDevice;
+    params.config.scramble_seed += 29 * kDevice;
+    params.synthesis.seed = Rng::deriveSeed(seed, 100 + kDevice);
+    params.sequencer.seed = Rng::deriveSeed(seed, 200 + kDevice);
+    params.pcr.mismatch_penalty = 1.0;
+    const test::PrimerPair &primers = test::primerPair(kDevice);
+    auto device = std::make_unique<BlockDevice>(
+        params, primers.forward, primers.reverse, 13 + kDevice);
+    *file = corpus::generateBytes(blocks * params.config.block_data_bytes,
+                                  Rng::deriveSeed(seed, 300 + kDevice));
+    device->writeFile(*file);
+    return device;
+}
+
+TEST(RangeClusteringTest, SixteenBlockReadKeepsAboutOneClusterPerMolecule)
+{
+    Bytes file;
+    auto device = pairTwoDevice(3, 256, &file);
+    const uint64_t lo = 32;
+    const uint64_t hi = 47;
+    DecodeStats stats;
+    auto units =
+        device->decoder().decodeAll(device->sequenceRange(lo, hi), &stats);
+
+    // 16 blocks of 15 molecules. Whole-read signatures read 537
+    // clusters here, 2.24 per molecule; the strand body reads 244.
+    const PartitionConfig &config = device->partition().config();
+    const size_t molecules = (hi - lo + 1) * config.rs_n;
+    EXPECT_LE(static_cast<double>(stats.clusters_total),
+              1.1 * static_cast<double>(molecules));
+    for (uint64_t block = lo; block <= hi; ++block) {
+        std::optional<Bytes> content;
+        auto it = units.find(block);
+        if (it != units.end() && it->second.versions.count(0)) {
+            content = it->second.versions.at(0);
+            content->resize(config.block_data_bytes);
+        }
+        EXPECT_TRUE(test::blockMatches(content, file, block));
+    }
+}
+
+TEST(RangeClusteringTest, PairTwoStreamEndsEarly)
+{
+    Bytes file;
+    auto device = pairTwoDevice(2, 64, &file);
+    const std::vector<sim::Read> reads = device->sequenceAll();
+    ASSERT_EQ(reads.size(), 19200u);
+
+    StreamingParams streaming;
+    for (uint64_t block = 0; block < 64; ++block)
+        streaming.expected_units.push_back({block, 0});
+    StreamingDecoder session(device->partition(),
+                             device->decoder().params(), streaming);
+    constexpr size_t kChunk = 500;
+    size_t chunks = 0;
+    for (size_t i = 0; i < reads.size() && !session.complete();
+         i += kChunk) {
+        const auto first = reads.begin() + static_cast<ptrdiff_t>(i);
+        session.feed({first, first + static_cast<ptrdiff_t>(std::min(
+                                         kChunk, reads.size() - i))});
+        ++chunks;
+    }
+
+    // Whole-read signatures needed all 39 chunks here and still left
+    // one unit undecoded; the strand body needs 16.
+    EXPECT_TRUE(session.complete());
+    EXPECT_LE(chunks, 30u);
+    ASSERT_EQ(session.emitted().size(), 64u);
+    for (const StreamedUnit &unit : session.emitted()) {
+        EXPECT_EQ(unit.version, 0u);
+        Bytes content = unit.payload;
+        content.resize(device->partition().config().block_data_bytes);
+        EXPECT_TRUE(test::blockMatches(content, file, unit.block));
+    }
 }
 
 } // namespace

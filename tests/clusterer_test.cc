@@ -311,6 +311,65 @@ TEST(ClustererTest, HotBucketStaysLinear)
     EXPECT_EQ(members, n);
 }
 
+/**
+ * The signature window the decoder opens over each read (its primer
+ * length at each end). Two reads that differ only in their first and
+ * last 20 bases hash the same window, so their signatures are equal:
+ * with one band, the second read reaches the first read's cluster
+ * only through a shared bucket, and under 32 salts it always does.
+ * Hashed whole, the differing ends move the minimum for some salts.
+ * A read shorter than 2 * 20 + q has no window and clusters exactly
+ * as with no window.
+ */
+TEST(ClustererTest, SignatureWindowSkipsReadEnds)
+{
+    constexpr size_t kSkip = 20;
+    dnastore::Rng rng(13);
+    ClustererParams params;
+    params.signatures = 1;
+    size_t whole_read_splits = 0;
+    for (uint64_t seed = 1; seed <= 32; ++seed) {
+        params.seed = seed;
+        const dna::Sequence p = randomSeq(rng, 150);
+        // Three substitutions in each end: 6 edits, within the
+        // threshold of 8.
+        std::string q_bases = p.str();
+        for (size_t pos : {2u, 9u, 17u, 132u, 140u, 147u})
+            q_bases[pos] = q_bases[pos] == 'A' ? 'C' : 'A';
+        const dna::Sequence q(q_bases);
+
+        OnlineClusterer windowed(params, kSkip);
+        windowed.assign(p);
+        EXPECT_EQ(windowed.assign(q), 0u) << "salt seed " << seed;
+        OnlineClusterer whole(params);
+        whole.assign(p);
+        whole_read_splits += whole.assign(q) != 0;
+    }
+    EXPECT_GT(whole_read_splits, 0u);
+
+    std::vector<dna::Sequence> short_reads;
+    for (int origin = 0; origin < 4; ++origin) {
+        const dna::Sequence center = randomSeq(rng, 44);
+        for (int copy = 0; copy < 8; ++copy) {
+            short_reads.push_back(noisy(rng, center, 0.02));
+            ASSERT_LT(short_reads.back().size(),
+                      2 * kSkip + ClustererParams{}.qgram);
+        }
+    }
+    OnlineClusterer windowed(ClustererParams{}, kSkip);
+    OnlineClusterer whole(ClustererParams{});
+    EXPECT_EQ(windowed.assignBatch(short_reads),
+              whole.assignBatch(short_reads));
+    ASSERT_EQ(windowed.clusters().size(), whole.clusters().size());
+    EXPECT_GT(whole.clusters().size(), 1u);
+    for (size_t c = 0; c < whole.clusters().size(); ++c) {
+        EXPECT_EQ(windowed.clusters()[c].members,
+                  whole.clusters()[c].members);
+        EXPECT_EQ(windowed.clusters()[c].representative,
+                  whole.clusters()[c].representative);
+    }
+}
+
 TEST(ClustererTest, ThreadPoolDoesNotChangeClusters)
 {
     dnastore::Rng rng(6);

@@ -245,23 +245,23 @@ TEST(RoundtripGoldenTest, CanonicalCellStatsArePinned)
     DecodeStats stats;
     auto units = leg.decoder->decodeAll(leg.reads, &stats);
 
-    // Pinned fingerprint (see header comment before editing). The 3
+    // Pinned fingerprint (see header comment before editing). The 4
     // failed units are spurious addresses assembled from noisy index
     // decodes; the 5 real units all decode.
     DecodeStats golden;
     golden.reads_in = 900;
     golden.reads_primer_matched = 899;
-    golden.clusters_total = 182;
-    golden.clusters_used = 97;
-    golden.strands_recovered = 94;
+    golden.clusters_total = 183;
+    golden.clusters_used = 98;
+    golden.strands_recovered = 95;
     golden.duplicate_addresses = 16;
     golden.index_rejects = 3;
-    golden.units_attempted = 8;
+    golden.units_attempted = 9;
     golden.units_decoded = 5;
-    golden.units_failed = 3;
+    golden.units_failed = 4;
     golden.symbol_errors_corrected = 12;
     golden.erasures_filled = 0;
-    golden.candidate_retries = 3;
+    golden.candidate_retries = 4;
     // One-shot decode consumes every read it is offered: skipped
     // reads exist only for early-terminated streaming sessions.
     golden.reads_consumed = 900;
