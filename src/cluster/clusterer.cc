@@ -15,16 +15,21 @@ namespace dnastore::cluster {
 namespace {
 
 /**
- * MinHash signatures of a read's q-gram set, one per hash salt. The
- * rolling 2-bit q-gram packing and splitMix64 mixing run in the
- * vectorized minhash kernel (all salt lanes advance together); a
- * window shorter than one q-gram has an empty q-gram set and falls
- * back to hashing the whole string.
+ * MinHash signatures of a read's q-gram set, one per hash salt, over
+ * the read without @p skip bases at each end (the whole read when it
+ * is shorter than 2 * skip + q). The rolling 2-bit q-gram packing and
+ * splitMix64 mixing run in the vectorized minhash kernel (all salt
+ * lanes advance together); a read shorter than one q-gram has an
+ * empty q-gram set and falls back to hashing the whole string.
  */
 void
-minHashSignatures(std::string_view s, size_t q, const uint64_t *salts,
-                  size_t num_salts, uint64_t *out)
+minHashSignatures(const dna::Sequence &read, size_t skip, size_t q,
+                  const uint64_t *salts, size_t num_salts,
+                  uint64_t *out)
 {
+    std::string_view s = read.str();
+    if (s.size() >= 2 * skip + q)
+        s = s.substr(skip, s.size() - 2 * skip);
     if (s.size() < q) {
         for (size_t b = 0; b < num_salts; ++b)
             out[b] = fnv1a(s) ^ salts[b];
@@ -39,18 +44,6 @@ minHashSignatures(std::string_view s, size_t q, const uint64_t *salts,
         bases[i] = static_cast<uint8_t>(dna::charToBase(s[i]));
     simd::kernels().minhash(bases, s.size(), q, mask, salts,
                             num_salts, out);
-}
-
-/** The bases of @p read its signatures hash: a view of the read
- *  without @p skip bases at each end, or the whole read when it is
- *  shorter than 2 * skip + q. */
-std::string_view
-signatureWindow(const dna::Sequence &read, size_t skip, size_t q)
-{
-    std::string_view s = read.str();
-    if (s.size() < 2 * skip + q)
-        return s;
-    return s.substr(skip, s.size() - 2 * skip);
 }
 
 } // namespace
@@ -71,10 +64,9 @@ OnlineClusterer::OnlineClusterer(ClustererParams params,
 size_t
 OnlineClusterer::assign(dna::Sequence read)
 {
-    minHashSignatures(
-        signatureWindow(read, signature_skip_, params_.qgram),
-        params_.qgram, salts_.data(), salts_.size(),
-        signature_scratch_.data());
+    minHashSignatures(read, signature_skip_, params_.qgram,
+                      salts_.data(), salts_.size(),
+                      signature_scratch_.data());
     return assignWithSignatures(std::move(read),
                                 signature_scratch_.data());
 }
@@ -157,10 +149,9 @@ OnlineClusterer::assignBatch(std::vector<dna::Sequence> reads,
     // depend only on (read, salt), never on scheduling.
     std::vector<uint64_t> signatures(reads.size() * bands);
     parallelFor(pool, reads.size(), [&](size_t r) {
-        minHashSignatures(
-            signatureWindow(reads[r], signature_skip_, params_.qgram),
-            params_.qgram, salts_.data(), bands,
-            signatures.data() + r * bands);
+        minHashSignatures(reads[r], signature_skip_, params_.qgram,
+                          salts_.data(), bands,
+                          signatures.data() + r * bands);
     });
 
     // Phase 2: sequential greedy bucket/assign in chunk order. This
